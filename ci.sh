@@ -129,4 +129,10 @@ run cmp "$golden_dir/perf-a/BENCH_serve_policy.json" "$golden_dir/perf-b/BENCH_s
 run cmp "$golden_dir/perf-a/serve-policy.critpath.txt" "$golden_dir/perf-b/serve-policy.critpath.txt"
 run target/release/afsysbench perf-diff results/BENCH_serve_policy.json "$golden_dir/perf-a/BENCH_serve_policy.json"
 
+# Host-clock scaling gate: the serve event loops must stay O(n log n)
+# and the simulated outputs must not move. hostbench's traced serve-hot
+# and serve-churn runs must fail no unit (seed 0's report digests are
+# committed) and read serve.scaling_exp / policy.scaling_exp <= 1.35.
+run scripts/scaling_gate.sh
+
 echo "==> tier-1 gate passed"

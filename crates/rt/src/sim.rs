@@ -24,7 +24,9 @@
 //! - Timers are **cancellable** ([`SimEngine::cancel`]): a cancelled
 //!   entry is skipped at pop time and never observed by the consumer —
 //!   this is how per-request deadlines disarm on completion and how a
-//!   consumed fault leaves the queue.
+//!   consumed fault leaves the queue. Cancel is O(1) (a per-seq
+//!   lifecycle byte marks the heap entry as a tombstone) and each pop
+//!   is O(log heap), tombstones included.
 //! - Event times must be finite and are clamped to the current clock
 //!   (an event scheduled "in the past" fires immediately, it does not
 //!   rewind time).
@@ -259,6 +261,19 @@ impl PartialOrd for Scheduled {
     }
 }
 
+/// Lifecycle of one scheduled event. Seqs are dense (one per schedule
+/// call), so a byte per event indexed by seq answers "is this timer
+/// live?" in O(1) — no heap scan on cancel, no list scan on pop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// In the heap, will be delivered.
+    Live,
+    /// In the heap as a tombstone, skipped at pop.
+    Cancelled,
+    /// Out of the heap (delivered or tombstone discarded).
+    Gone,
+}
+
 /// The deterministic discrete-event engine: one monotone clock, one
 /// `(time, seq)`-ordered event queue, cancellable timers.
 #[derive(Debug, Clone, Default)]
@@ -266,9 +281,11 @@ pub struct SimEngine {
     now_s: f64,
     next_seq: u64,
     heap: BinaryHeap<Scheduled>,
-    /// Sequence numbers of cancelled-but-not-yet-popped entries, kept
-    /// sorted (they are pushed in cancel order and removed at pop).
-    cancelled: Vec<u64>,
+    /// Per-event lifecycle, indexed by seq.
+    slots: Vec<Slot>,
+    /// Tombstones still in the heap (`Slot::Cancelled` count), so
+    /// [`SimEngine::pending`] stays exact without a scan.
+    cancelled: usize,
     popped: u64,
     /// Causal edge log, one record per schedule call, indexed by seq.
     /// `None` until [`SimEngine::record_provenance`] arms it.
@@ -339,6 +356,7 @@ impl SimEngine {
             });
         }
         self.heap.push(Scheduled { at_s, seq, event });
+        self.slots.push(Slot::Live);
         TimerId(seq)
     }
 
@@ -355,17 +373,29 @@ impl SimEngine {
 
     /// Cancel a scheduled event. Returns whether the handle was live
     /// (scheduled, not yet popped, not already cancelled). A cancelled
-    /// event is never returned by [`SimEngine::pop`].
+    /// event is never returned by [`SimEngine::pop`]. O(1): the entry
+    /// stays in the heap as a tombstone until it reaches the top.
     pub fn cancel(&mut self, id: TimerId) -> bool {
-        if id.0 >= self.next_seq || self.cancelled.contains(&id.0) {
+        let Some(slot) = self.slots.get_mut(id.0 as usize) else {
+            return false;
+        };
+        if *slot != Slot::Live {
             return false;
         }
-        // Live iff still somewhere in the heap; popped entries are gone.
-        if self.heap.iter().any(|s| s.seq == id.0) {
-            self.cancelled.push(id.0);
-            if let Some(edges) = self.provenance.as_mut() {
-                edges[id.0 as usize].cancelled = true;
-            }
+        *slot = Slot::Cancelled;
+        self.cancelled += 1;
+        if let Some(edges) = self.provenance.as_mut() {
+            edges[id.0 as usize].cancelled = true;
+        }
+        true
+    }
+
+    /// Retire the top heap entry's slot; `true` when it was a
+    /// tombstone (the caller skips it).
+    fn retire(&mut self, seq: u64) -> bool {
+        let slot = std::mem::replace(&mut self.slots[seq as usize], Slot::Gone);
+        if slot == Slot::Cancelled {
+            self.cancelled -= 1;
             true
         } else {
             false
@@ -384,8 +414,7 @@ impl SimEngine {
     /// injector's plan-order delivery) read it from [`TimerId::seq`].
     pub fn pop_with_id(&mut self) -> Option<(f64, Event, TimerId)> {
         while let Some(s) = self.heap.pop() {
-            if let Some(i) = self.cancelled.iter().position(|&c| c == s.seq) {
-                self.cancelled.swap_remove(i);
+            if self.retire(s.seq) {
                 continue;
             }
             self.advance_to(s.at_s);
@@ -413,8 +442,9 @@ impl SimEngine {
     pub fn peek_time(&mut self) -> Option<f64> {
         loop {
             let s = self.heap.peek()?;
-            if let Some(i) = self.cancelled.iter().position(|&c| c == s.seq) {
-                self.cancelled.swap_remove(i);
+            if self.slots[s.seq as usize] == Slot::Cancelled {
+                let seq = s.seq;
+                self.retire(seq);
                 self.heap.pop();
                 continue;
             }
@@ -424,7 +454,7 @@ impl SimEngine {
 
     /// Live (scheduled, uncancelled) events still in the queue.
     pub fn pending(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len() - self.cancelled
     }
 
     /// Whether no live event remains.

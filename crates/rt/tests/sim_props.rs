@@ -14,6 +14,12 @@
 //! 4. Every recorded parent precedes its child in `(time, seq)` order.
 //! 5. A cancelled timer never appears as anyone's parent.
 //! 6. Two same-seed runs record byte-identical edge lists.
+//!
+//! And one semantics oracle:
+//!
+//! 7. Random schedule/cancel/pop/peek sequences agree, step by step,
+//!    with a naive linear-scan engine: cancel results, pops, clock,
+//!    `pending`/`is_drained`/`peek_time` and the provenance flags.
 
 use afsb_rt::check::{run, Config};
 use afsb_rt::sim::{Event, SimEngine, TimerId, WaitEdge};
@@ -298,6 +304,135 @@ fn provenance_same_seed_runs_record_identical_edge_lists() {
                 format!("{:?}", b.provenance()),
                 "same schedule must record byte-identical provenance"
             );
+        },
+    );
+}
+
+/// The naive reference engine: every event ever scheduled in one list,
+/// each pop a linear scan for the earliest live `(time, seq)`.
+#[derive(Default)]
+struct NaiveEngine {
+    now_s: f64,
+    /// `(at_s, event, cancelled, delivered)`, indexed by seq.
+    events: Vec<(f64, Event, bool, bool)>,
+}
+
+impl NaiveEngine {
+    fn schedule(&mut self, at_s: f64, event: Event) -> u64 {
+        self.events
+            .push((at_s.max(self.now_s), event, false, false));
+        self.events.len() as u64 - 1
+    }
+
+    fn live(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.events
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| !e.2 && !e.3)
+            .map(|(i, e)| (i, e.0))
+    }
+
+    fn cancel(&mut self, seq: u64) -> bool {
+        match self.events.get_mut(seq as usize) {
+            Some(e) if !e.2 && !e.3 => {
+                e.2 = true;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn earliest(&self) -> Option<usize> {
+        self.live()
+            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+            .map(|(i, _)| i)
+    }
+
+    fn pop(&mut self) -> Option<(f64, Event, u64)> {
+        let i = self.earliest()?;
+        let e = &mut self.events[i];
+        e.3 = true;
+        self.now_s = self.now_s.max(e.0);
+        Some((e.0, e.1, i as u64))
+    }
+
+    fn peek_time(&self) -> Option<f64> {
+        self.earliest().map(|i| self.events[i].0)
+    }
+
+    fn pending(&self) -> usize {
+        self.live().count()
+    }
+}
+
+#[test]
+fn engine_matches_naive_reference_under_random_ops() {
+    // TimerIds are only minted by `schedule`, so a scratch engine mints
+    // the handle for every seq a case can name — including seqs the
+    // engine under test never issued (unknown ids).
+    let mut mint = SimEngine::new();
+    let handles: Vec<TimerId> = (0..400)
+        .map(|_| mint.schedule(0.0, Event::BatchClose))
+        .collect();
+    run(
+        "engine_matches_naive_reference_under_random_ops",
+        Config::cases(256),
+        |g| {
+            // Few distinct stamps, so same-time ties are common; times
+            // below the clock exercise the clamp.
+            let stamps: Vec<f64> = (0..g.range(1usize..6))
+                .map(|_| g.range(0u32..40) as f64 * 0.5)
+                .collect();
+            let mut e = SimEngine::new();
+            e.record_provenance();
+            let mut naive = NaiveEngine::default();
+            let ops = g.range(1usize..300);
+            for step in 0..ops {
+                match g.range(0u32..10) {
+                    0..=3 => {
+                        let at = stamps[g.range(0..stamps.len())];
+                        let ev = Event::Arrival { request: step };
+                        let id = e.schedule(at, ev);
+                        assert_eq!(id.seq(), naive.schedule(at, ev));
+                    }
+                    4..=5 => {
+                        // Mostly issued ids (live, popped or already
+                        // cancelled), sometimes one never issued.
+                        let issued = naive.events.len();
+                        let seq = g.range(0..issued + 3);
+                        assert_eq!(
+                            e.cancel(handles[seq]),
+                            naive.cancel(seq as u64),
+                            "cancel({seq}) disagrees"
+                        );
+                    }
+                    6..=7 => {
+                        let got = e.pop_with_id().map(|(t, ev, id)| (t, ev, id.seq()));
+                        assert_eq!(got, naive.pop());
+                    }
+                    _ => assert_eq!(e.peek_time(), naive.peek_time()),
+                }
+                assert_eq!(e.pending(), naive.pending());
+                assert_eq!(e.is_drained(), naive.pending() == 0);
+                assert_eq!(e.now_seconds(), naive.now_s);
+            }
+            assert_eq!(e.peek_time(), naive.peek_time());
+            while let Some(want) = naive.pop() {
+                let got = e.pop_with_id().map(|(t, ev, id)| (t, ev, id.seq()));
+                assert_eq!(got, Some(want));
+            }
+            assert_eq!(e.pop(), None);
+            assert!(e.is_drained() && e.pending() == 0);
+            let prov = e.provenance();
+            assert_eq!(prov.len(), naive.events.len());
+            for (edge, want) in prov.iter().zip(&naive.events) {
+                assert_eq!(
+                    (edge.at_s, edge.cancelled, edge.delivered),
+                    (want.0, want.2, want.3),
+                    "provenance flags for seq {}",
+                    edge.seq
+                );
+            }
         },
     );
 }

@@ -18,12 +18,23 @@
 //! on the in-flight fill (a `CacheFill` event on the engine clock) and
 //! the wait is counted here as a [`FeatureCache::coalesced_hit`].
 
+use std::collections::BTreeMap;
+
 /// A capacity-bounded LRU cache of MSA feature files.
+///
+/// Recency is a monotone stamp: every insert or hit gives the entry the
+/// next stamp, so the least recently used entry is the one with the
+/// smallest stamp. Two ordered maps index the same entries — by entity
+/// for lookup, by stamp for eviction — so every operation is O(log n)
+/// instead of a scan of the entry list.
 #[derive(Debug, Clone, Default)]
 pub struct FeatureCache {
     capacity_bytes: u64,
-    /// `(entity, bytes)`, least recently used first.
-    entries: Vec<(usize, u64)>,
+    /// entity → (recency stamp, file bytes).
+    by_entity: BTreeMap<usize, (u64, u64)>,
+    /// recency stamp → entity, least recently used first.
+    by_recency: BTreeMap<u64, usize>,
+    next_stamp: u64,
     bytes: u64,
     hits: u64,
     misses: u64,
@@ -41,13 +52,21 @@ impl FeatureCache {
         }
     }
 
+    /// Give `entity` (stored with `bytes`) the most recent stamp.
+    fn stamp(&mut self, entity: usize, bytes: u64) {
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.by_recency.insert(stamp, entity);
+        self.by_entity.insert(entity, (stamp, bytes));
+    }
+
     /// Look up an entity, counting a hit or miss and refreshing
     /// recency on hit.
     pub fn lookup(&mut self, entity: usize) -> bool {
-        match self.entries.iter().position(|&(e, _)| e == entity) {
-            Some(i) => {
-                let entry = self.entries.remove(i);
-                self.entries.push(entry);
+        match self.by_entity.get(&entity) {
+            Some(&(stamp, bytes)) => {
+                self.by_recency.remove(&stamp);
+                self.stamp(entity, bytes);
                 self.hits += 1;
                 true
             }
@@ -60,21 +79,25 @@ impl FeatureCache {
 
     /// Insert (or refresh) an entity's feature file, evicting LRU
     /// entries until it fits. A file larger than the whole cache is
-    /// not admitted.
+    /// not admitted (and a refresh that grows past it drops the entry).
     pub fn insert(&mut self, entity: usize, file_bytes: u64) {
-        if let Some(i) = self.entries.iter().position(|&(e, _)| e == entity) {
-            let (_, old) = self.entries.remove(i);
+        if let Some((stamp, old)) = self.by_entity.remove(&entity) {
+            self.by_recency.remove(&stamp);
             self.bytes -= old;
         }
         if file_bytes > self.capacity_bytes {
             return;
         }
         while self.bytes + file_bytes > self.capacity_bytes {
-            let (_, evicted) = self.entries.remove(0);
+            let (_, lru) = self
+                .by_recency
+                .pop_first()
+                .expect("cached bytes imply a cached entry");
+            let (_, evicted) = self.by_entity.remove(&lru).expect("indexes agree");
             self.bytes -= evicted;
             self.evictions += 1;
         }
-        self.entries.push((entity, file_bytes));
+        self.stamp(entity, file_bytes);
         self.bytes += file_bytes;
     }
 
@@ -89,17 +112,17 @@ impl FeatureCache {
 
     /// Whether the entity is currently cached (no counter side effects).
     pub fn contains(&self, entity: usize) -> bool {
-        self.entries.iter().any(|&(e, _)| e == entity)
+        self.by_entity.contains_key(&entity)
     }
 
     /// Cached entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.by_entity.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.by_entity.is_empty()
     }
 
     /// Bytes currently cached.

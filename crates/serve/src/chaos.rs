@@ -41,6 +41,7 @@
 //! the most recently fired fault when they finally apply.
 
 use crate::cache::FeatureCache;
+use crate::queue::ReadyPool;
 use crate::scenario::SERVE_SEED;
 use crate::server::{
     CausalLog, CostTable, PhaseSegments, RequestOutcome, SegmentSplit, ServeConfig, ServeReport,
@@ -434,7 +435,7 @@ pub fn run_serve_chaos(
     let mut worker_jobs: Vec<Vec<MsaJob>> = vec![Vec::new(); config.cpu_workers];
     let mut in_flight: BTreeMap<usize, f64> = BTreeMap::new();
     let mut fills: BTreeMap<usize, Fill> = BTreeMap::new();
-    let mut pool: Vec<usize> = Vec::new();
+    let mut pool = ReadyPool::new();
     let mut deadline_timers: Vec<Option<TimerId>> = vec![None; requests.len()];
     let mut gpu_free = 0.0f64;
     let mut gpu_busy = 0.0f64;
@@ -590,7 +591,7 @@ pub fn run_serve_chaos(
                         let w = workers
                             .iter()
                             .enumerate()
-                            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(a.0.cmp(&b.0)))
+                            .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
                             .map(|(i, _)| i)
                             .expect("worker pool is non-empty");
                         let start = workers[w].max(req.arrival_s);
@@ -693,7 +694,7 @@ pub fn run_serve_chaos(
                         }
                     }
                 }
-                pool.push(request);
+                pool.push(outcomes[request].ready_s, request);
                 if now >= gpu_free {
                     engine.schedule_tagged(now, Event::BatchClose, WaitEdge::BatchClose);
                 }
@@ -701,7 +702,7 @@ pub fn run_serve_chaos(
 
             Event::CacheFill { request, .. } => {
                 fills.remove(&request);
-                pool.push(request);
+                pool.push(outcomes[request].ready_s, request);
                 if now >= gpu_free {
                     engine.schedule_tagged(now, Event::BatchClose, WaitEdge::BatchClose);
                 }
@@ -711,22 +712,8 @@ pub fn run_serve_chaos(
                 if pool.is_empty() || now < gpu_free {
                     continue;
                 }
-                pool.sort_by(|&a, &b| {
-                    outcomes[a]
-                        .ready_s
-                        .partial_cmp(&outcomes[b].ready_s)
-                        .unwrap()
-                        .then(outcomes[a].request.id.cmp(&outcomes[b].request.id))
-                });
-                let start = gpu_free.max(outcomes[pool[0]].ready_s);
-                let mut take = 1usize;
-                while take < config.gpu_batch
-                    && take < pool.len()
-                    && outcomes[pool[take]].ready_s <= start
-                {
-                    take += 1;
-                }
-                let batch: Vec<usize> = pool.drain(..take).collect();
+                let start = gpu_free.max(pool.earliest_ready().expect("pool is non-empty"));
+                let batch = pool.take_batch(start, config.gpu_batch);
 
                 let pay_init = !inited;
                 let new_shapes: Vec<SampleId> = batch
@@ -1202,7 +1189,7 @@ pub fn run_serve_chaos(
                 let w = workers
                     .iter()
                     .enumerate()
-                    .min_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(a.0.cmp(&b.0)))
+                    .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
                     .map(|(i, _)| i)
                     .expect("worker pool is non-empty");
                 let start = workers[w].max(now);

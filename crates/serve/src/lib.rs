@@ -20,6 +20,9 @@
 //!   per process (reusing `gpu::runtime`'s cold/warm split), with
 //!   per-request [`afsb_core::resilience::Deadline`]s and the §VI
 //!   admission check,
+//! - [`queue`]: the ordered backlogs every loop shares — the GPU's
+//!   [`ReadyPool`] (earliest-ready first) and the policy loop's keyed
+//!   MSA queue — so picking the next request is O(log n), not a sort,
 //! - [`scenario`]: the canonical scenario set behind `afsysbench
 //!   serve` and the `profile serve` baseline,
 //! - [`reference`]: the frozen seed step-scan scheduler, kept verbatim
@@ -48,6 +51,7 @@
 pub mod cache;
 pub mod chaos;
 pub mod policy;
+pub mod queue;
 pub mod reference;
 pub mod scenario;
 pub mod server;
@@ -65,6 +69,7 @@ pub use policy::{
     PolicyMatrixReport, PolicyReport, PolicyRun, PolicyScenario, PolicyWhatIf, QueueDiscipline,
     POLICY_WHATIF_TOLERANCE_PP, SPECULATE_DEPTH,
 };
+pub use queue::{KeyedQueue, ReadyEntry, ReadyPool};
 pub use reference::run_serve_reference;
 pub use scenario::{
     default_scenarios, render_summary, run_default, run_default_telemetry, run_xl, xl_scenarios,

@@ -53,6 +53,7 @@
 
 use crate::cache::FeatureCache;
 use crate::chaos::{drain_pending_storage, ChaosConfig, ChaosReport, Disposition};
+use crate::queue::{KeyedQueue, ReadyEntry, ReadyPool};
 use crate::scenario::SERVE_SEED;
 use crate::server::{
     CausalLog, CostTable, PhaseSegments, RequestOutcome, SegmentSplit, ServeConfig, ServeReport,
@@ -326,7 +327,7 @@ struct PolicyLoop<'a> {
     deg_rung_depth: usize,
 
     // MSA side: the central queue plus one running job per worker.
-    msa_queue: Vec<usize>,
+    msa_queue: KeyedQueue,
     enqueued_at: Vec<f64>,
     running: Vec<Option<Running>>,
     workers: Vec<f64>,
@@ -334,7 +335,7 @@ struct PolicyLoop<'a> {
     pending_storage: Vec<FaultKind>,
 
     // GPU side.
-    pool: Vec<usize>,
+    pool: ReadyPool,
     gpu_free: f64,
     gpu_busy: f64,
     batches: usize,
@@ -378,7 +379,9 @@ impl PolicyLoop<'_> {
     }
 
     /// The discipline's priority key for a queued request (lower is
-    /// better; the request id breaks every tie deterministically).
+    /// better; the request id breaks every tie deterministically). It
+    /// reads `enqueued_at` and `durable`, which only change before a
+    /// (re-)push, so the key is fixed while the request is queued.
     fn queue_key(&self, r: usize) -> f64 {
         match self.pol.queue {
             QueueDiscipline::Fifo => self.enqueued_at[r],
@@ -407,15 +410,7 @@ impl PolicyLoop<'_> {
             else {
                 break;
             };
-            let qi = (0..self.msa_queue.len())
-                .min_by(|&a, &b| {
-                    let (ra, rb) = (self.msa_queue[a], self.msa_queue[b]);
-                    self.queue_key(ra)
-                        .total_cmp(&self.queue_key(rb))
-                        .then(ra.cmp(&rb))
-                })
-                .expect("queue is non-empty");
-            let r = self.msa_queue.remove(qi);
+            let r = self.msa_queue.pop().expect("queue is non-empty");
             self.dispatch(w, r, now);
         }
     }
@@ -530,36 +525,30 @@ impl PolicyLoop<'_> {
         self.workers[w] = now;
         self.running[w] = None;
         self.enqueued_at[r] = now;
-        self.msa_queue.push(r);
+        self.enqueue(r);
         self.obs.tracer.instant_at(now, "preempt:checkpoint-yield");
         true
     }
 
-    /// Pick the GPU batch once the pool is sorted and the batch start
-    /// time fixed: either the arrival-order eligible prefix (the
-    /// reference rule) or the dominant shape bucket of the eligible set.
+    /// Queue request `r` for a worker under the discipline's key.
+    fn enqueue(&mut self, r: usize) {
+        let key = self.queue_key(r);
+        self.msa_queue.push(key, r);
+    }
+
+    /// Pick the GPU batch once the batch start time is fixed: either
+    /// the arrival-order eligible prefix (the reference rule) or the
+    /// dominant shape bucket of the eligible window.
     fn pick_batch(&mut self, start: f64) -> Vec<usize> {
         if !self.pol.shape_batching {
-            let mut take = 1usize;
-            while take < self.config.gpu_batch
-                && take < self.pool.len()
-                && self.outcomes[self.pool[take]].ready_s <= start
-            {
-                take += 1;
-            }
-            return self.pool.drain(..take).collect();
+            return self.pool.take_batch(start, self.config.gpu_batch);
         }
-        let eligible = self
-            .pool
-            .iter()
-            .take_while(|&&i| self.outcomes[i].ready_s <= start)
-            .count()
-            .max(1);
+        let window: Vec<ReadyEntry> = self.pool.window(start).collect();
         // Dominant shape of the whole eligible window (not just the
         // first B): max count, earliest first appearance breaking ties.
         let mut counts: Vec<(SampleId, usize)> = Vec::new();
-        for &i in &self.pool[..eligible] {
-            let s = self.outcomes[i].request.sample;
+        for e in &window {
+            let s = self.outcomes[e.request].request.sample;
             match counts.iter_mut().find(|(cs, _)| *cs == s) {
                 Some((_, c)) => *c += 1,
                 None => counts.push((s, 1)),
@@ -574,17 +563,15 @@ impl PolicyLoop<'_> {
             }
         }
         let mut taken = Vec::new();
-        let mut rest = Vec::new();
-        for &i in &self.pool[..eligible] {
-            if self.outcomes[i].request.sample == dom && taken.len() < self.config.gpu_batch {
-                taken.push(i);
-            } else {
-                rest.push(i);
+        for e in window {
+            if taken.len() == self.config.gpu_batch {
+                break;
+            }
+            if self.outcomes[e.request].request.sample == dom {
+                self.pool.remove(e);
+                taken.push(e.request);
             }
         }
-        let tail: Vec<usize> = self.pool[eligible..].to_vec();
-        self.pool = rest;
-        self.pool.extend(tail);
         taken
     }
 }
@@ -669,13 +656,13 @@ pub fn run_serve_policy(
         deg_depth,
         deg_factor,
         deg_rung_depth,
-        msa_queue: Vec::new(),
+        msa_queue: KeyedQueue::new(n),
         enqueued_at: vec![0.0; n],
         running: vec![None; config.cpu_workers],
         workers: vec![0.0; config.cpu_workers],
         fills: BTreeMap::new(),
         pending_storage: Vec::new(),
-        pool: Vec::new(),
+        pool: ReadyPool::new(),
         gpu_free: 0.0,
         gpu_busy: 0.0,
         batches: 0,
@@ -825,7 +812,7 @@ impl PolicyLoop<'_> {
                     segments,
                 });
                 self.enqueued_at[request] = req.arrival_s;
-                self.msa_queue.push(request);
+                self.enqueue(request);
                 if self.pol.preempt {
                     self.maybe_preempt(shape.msa_s, now);
                 }
@@ -865,7 +852,7 @@ impl PolicyLoop<'_> {
             self.cache
                 .insert(req.entity, self.costs.shape(req.sample).feature_bytes);
         }
-        self.pool.push(request);
+        self.pool.push(self.outcomes[request].ready_s, request);
         if now >= self.gpu_free {
             self.engine
                 .schedule_tagged(now, Event::BatchClose, WaitEdge::BatchClose);
@@ -875,7 +862,7 @@ impl PolicyLoop<'_> {
 
     fn on_cache_fill(&mut self, request: usize, now: f64) {
         self.fills.remove(&request);
-        self.pool.push(request);
+        self.pool.push(self.outcomes[request].ready_s, request);
         if now >= self.gpu_free {
             self.engine
                 .schedule_tagged(now, Event::BatchClose, WaitEdge::BatchClose);
@@ -886,19 +873,9 @@ impl PolicyLoop<'_> {
         if self.pool.is_empty() || now < self.gpu_free {
             return;
         }
-        self.pool.sort_by(|&a, &b| {
-            self.outcomes[a]
-                .ready_s
-                .partial_cmp(&self.outcomes[b].ready_s)
-                .unwrap()
-                .then(
-                    self.outcomes[a]
-                        .request
-                        .id
-                        .cmp(&self.outcomes[b].request.id),
-                )
-        });
-        let start = self.gpu_free.max(self.outcomes[self.pool[0]].ready_s);
+        let start = self
+            .gpu_free
+            .max(self.pool.earliest_ready().expect("pool is non-empty"));
         let batch = self.pick_batch(start);
 
         let pay_init = !self.inited;
@@ -1044,11 +1021,7 @@ impl PolicyLoop<'_> {
             && !self.outcomes[request].rejected
             && self.disposition[request].is_none()
         {
-            let mut shed = false;
-            if let Some(pos) = self.msa_queue.iter().position(|&r| r == request) {
-                self.msa_queue.remove(pos);
-                shed = true;
-            }
+            let mut shed = self.msa_queue.remove(request);
             if !shed {
                 if let Some(pos) = self.parked.iter().position(|&r| r == request) {
                     self.parked.remove(pos);
@@ -1259,7 +1232,7 @@ impl PolicyLoop<'_> {
             return;
         }
         self.enqueued_at[request] = now;
-        self.msa_queue.push(request);
+        self.enqueue(request);
         self.dispatch_ready(now);
     }
 

@@ -30,6 +30,7 @@
 //! [`crate::reference`] (enforced by `tests/equivalence.rs`).
 
 use crate::cache::FeatureCache;
+use crate::queue::ReadyPool;
 use crate::workload::{self, Request, WorkloadConfig};
 use afsb_core::calib;
 use afsb_core::context::{BenchContext, ContextConfig};
@@ -555,8 +556,7 @@ impl ServeReport {
         let mut v: Vec<&RequestOutcome> = self.outcomes.iter().filter(|o| o.finished).collect();
         v.sort_by(|a, b| {
             a.latency_s()
-                .partial_cmp(&b.latency_s())
-                .expect("finite latencies")
+                .total_cmp(&b.latency_s())
                 .then(a.request.id.cmp(&b.request.id))
         });
         v
@@ -707,8 +707,9 @@ impl ServeReport {
 /// Since the `rt::sim` refactor the scheduler is event-driven: one
 /// [`SimEngine`] queue carries `Arrival` → (`MsaDone` | `CacheFill`) →
 /// `BatchClose` → `GpuDone` chains plus cancellable `DeadlineExpired`
-/// timers, so a run costs O(events · log n) instead of a per-step
-/// rescan. Every arithmetic expression, comparator and span-creation
+/// timers. Every per-event step is O(log n): engine pops and O(1)
+/// timer cancels, the [`ReadyPool`] batch pick, and the
+/// [`FeatureCache`] lookup, so a run costs O(events · log n). Every arithmetic expression, comparator and span-creation
 /// order is kept identical to the seed step-scan loop (frozen in
 /// [`crate::reference`]), so same-seed runs are byte-identical to it —
 /// `tests/equivalence.rs` enforces this on the canonical scenarios.
@@ -745,7 +746,7 @@ pub fn run_serve(config: &ServeConfig, costs: &CostTable, obs: &mut ObsSession) 
     // time. Read only when coalescing is on.
     let mut in_flight: BTreeMap<usize, f64> = BTreeMap::new();
     // Ready-but-unserved outcome indices (outcome index == request id).
-    let mut pool: Vec<usize> = Vec::new();
+    let mut pool = ReadyPool::new();
     let mut deadline_timers: Vec<Option<TimerId>> = vec![None; requests.len()];
     let mut gpu_free = 0.0f64;
     let mut gpu_busy = 0.0f64;
@@ -839,7 +840,7 @@ pub fn run_serve(config: &ServeConfig, costs: &CostTable, obs: &mut ObsSession) 
                         let w = workers
                             .iter()
                             .enumerate()
-                            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(a.0.cmp(&b.0)))
+                            .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
                             .map(|(i, _)| i)
                             .expect("worker pool is non-empty");
                         let start = workers[w].max(req.arrival_s);
@@ -907,7 +908,7 @@ pub fn run_serve(config: &ServeConfig, costs: &CostTable, obs: &mut ObsSession) 
                 }
                 in_flight.remove(&req.entity);
                 msa_outstanding -= 1;
-                pool.push(request);
+                pool.push(outcomes[request].ready_s, request);
                 if now >= gpu_free {
                     engine.schedule_tagged(now, Event::BatchClose, WaitEdge::BatchClose);
                 }
@@ -917,7 +918,7 @@ pub fn run_serve(config: &ServeConfig, costs: &CostTable, obs: &mut ObsSession) 
             // request becomes GPU-ready.
             Event::CacheFill { request, .. } => {
                 fills_outstanding -= 1;
-                pool.push(request);
+                pool.push(outcomes[request].ready_s, request);
                 if now >= gpu_free {
                     engine.schedule_tagged(now, Event::BatchClose, WaitEdge::BatchClose);
                 }
@@ -934,22 +935,8 @@ pub fn run_serve(config: &ServeConfig, costs: &CostTable, obs: &mut ObsSession) 
                 if pool.is_empty() || now < gpu_free {
                     continue;
                 }
-                pool.sort_by(|&a, &b| {
-                    outcomes[a]
-                        .ready_s
-                        .partial_cmp(&outcomes[b].ready_s)
-                        .unwrap()
-                        .then(outcomes[a].request.id.cmp(&outcomes[b].request.id))
-                });
-                let start = gpu_free.max(outcomes[pool[0]].ready_s);
-                let mut take = 1usize;
-                while take < config.gpu_batch
-                    && take < pool.len()
-                    && outcomes[pool[take]].ready_s <= start
-                {
-                    take += 1;
-                }
-                let batch: Vec<usize> = pool.drain(..take).collect();
+                let start = gpu_free.max(pool.earliest_ready().expect("pool is non-empty"));
+                let batch = pool.take_batch(start, config.gpu_batch);
 
                 // Price the batch first so the enclosing span carries
                 // its full duration when created, then lay the child
