@@ -14,42 +14,50 @@
 //! - [`cache`]: a content-addressed, capacity-bounded LRU cache of MSA
 //!   feature files — a hit skips the entire CPU phase and charges only
 //!   a storage-priced feature load,
-//! - [`server`]: the phase-decoupled scheduler — a CPU worker pool
-//!   drains MSA jobs while the GPU queue forms inference batches of
-//!   size B, paying `xla_compile` once per shape and runtime init once
-//!   per process (reusing `gpu::runtime`'s cold/warm split), with
-//!   per-request [`afsb_core::resilience::Deadline`]s and the §VI
-//!   admission check,
-//! - [`queue`]: the ordered backlogs every loop shares — the GPU's
+//! - [`server`]: the phase-decoupled scheduler's types and its
+//!   fault-free entry point — a CPU worker pool drains MSA jobs while
+//!   the GPU queue forms inference batches of size B, paying
+//!   `xla_compile` once per shape and runtime init once per process
+//!   (reusing `gpu::runtime`'s cold/warm split), with per-request
+//!   [`afsb_core::resilience::Deadline`]s and the §VI admission check;
+//!   [`run_serve`] is the [`chaos`] loop under an empty fault plan,
+//! - [`queue`]: the ordered backlogs the loops share — the GPU's
 //!   [`ReadyPool`] (earliest-ready first) and the policy loop's keyed
 //!   MSA queue — so picking the next request is O(log n), not a sort,
 //! - [`scenario`]: the canonical scenario set behind `afsysbench
 //!   serve` and the `profile serve` baseline,
-//! - [`reference`]: the frozen seed step-scan scheduler, kept verbatim
-//!   as the byte-equivalence oracle for the event-driven [`server`],
-//! - [`chaos`]: the fault-tolerant twin of the server — `rt::fault`
-//!   plans delivered into the serving event loop, answered by a
-//!   recovery policy (requeue with backoff, circuit breaker, deadline
-//!   shedding, overload degradation), every admitted request ending in
-//!   exactly one disposition; with an empty plan it is byte-identical
-//!   to [`server`],
+//! - [`reference`](mod@reference): the frozen seed step-scan
+//!   scheduler, kept verbatim as the byte-equivalence oracle for both
+//!   event loops,
+//! - [`chaos`]: the eager loop — each miss is assigned to a worker at
+//!   arrival, so concurrent misses can coalesce — with `rt::fault`
+//!   plans delivered into it and answered by a recovery policy
+//!   (requeue with backoff, circuit breaker, deadline shedding,
+//!   overload degradation), every admitted request ending in exactly
+//!   one disposition,
 //! - [`whatif`]: the causal profiler's projection engine — virtual
 //!   speedups (MSA ×k, GPU ×k, XLA ×k, +N workers, infinite cache)
 //!   replayed Coz-style over the provenance DAG the engine recorded,
 //!   each prediction validated against a ground-truth re-run with
 //!   scaled cost tables (`rt::obs::causal` extracts the critical path
 //!   and blame shares the projections are built on),
-//! - [`policy`]: pluggable scheduling policies over the same event
-//!   loop — FIFO (byte-identical baseline), predicted-cost SJF, EDF,
-//!   shape-bucketed GPU batching, checkpoint-yield preemption and
-//!   speculative MSA-depth degradation — run as a matrix and validated
-//!   against the [`whatif`] projections.
+//! - [`policy`]: the lazy loop — misses wait in a keyed queue until a
+//!   worker frees — carrying pluggable scheduling policies: FIFO
+//!   (byte-identical baseline), predicted-cost SJF, EDF, shape-bucketed
+//!   GPU batching, checkpoint-yield preemption and speculative
+//!   MSA-depth degradation, run as a matrix and validated against the
+//!   [`whatif`] projections.
+//!
+//! The two loops share one core (the private `core` module): set-up,
+//! feature fills, the GPU batch close, fault recovery, the timeline
+//! sample and the report fold. They differ only in their MSA side.
 //!
 //! Everything runs on the simulated clock: the same seed yields
 //! byte-identical reports, metrics and traces.
 
 pub mod cache;
 pub mod chaos;
+mod core;
 pub mod policy;
 pub mod queue;
 pub mod reference;

@@ -187,12 +187,12 @@ pub fn run_xl(quick: bool) -> Vec<ScenarioRun> {
 }
 
 fn run_set(scenarios: Vec<Scenario>, quick: bool) -> Vec<ScenarioRun> {
-    let costs = CostTable::build(Platform::Server, quick, 4, SERVE_SEED);
+    let costs = CostTable::canonical(quick);
     scenarios
         .into_iter()
         .map(|scenario| {
             let mut obs = ObsSession::new();
-            let report = run_serve(&scenario.config, &costs, &mut obs);
+            let report = run_serve(&scenario.config, costs, &mut obs);
             ScenarioRun {
                 name: scenario.name,
                 report,

@@ -13,10 +13,9 @@
 //! runs and renders one combined dashboard.
 
 use crate::chaos::{chaos_scenarios, run_serve_chaos, ChaosScenarioRun};
-use crate::scenario::{run_default_telemetry, ScenarioRun, SERVE_SEED};
+use crate::scenario::{run_default_telemetry, ScenarioRun};
 use crate::server::{CostTable, TelemetryConfig};
 use afsb_rt::obs::ObsSession;
-use afsb_simarch::Platform;
 
 /// The chaos scenario the telemetry experiment exercises: the storage
 /// brownout's stall window is long enough (relative to the SLO window)
@@ -42,14 +41,14 @@ pub fn run_telemetry(quick: bool) -> TelemetryReport {
 
 /// Run only the storage-brownout chaos scenario with telemetry armed.
 pub fn run_brownout_telemetry(quick: bool) -> ChaosScenarioRun {
-    let costs = CostTable::build(Platform::Server, quick, 4, SERVE_SEED);
+    let costs = CostTable::canonical(quick);
     let mut scenario = chaos_scenarios(quick)
         .into_iter()
         .find(|s| s.name == TELEMETRY_CHAOS_SCENARIO)
         .expect("storage-brownout scenario exists");
     scenario.config.telemetry = TelemetryConfig::standard(quick);
     let mut obs = ObsSession::new();
-    let report = run_serve_chaos(&scenario.config, &scenario.chaos, &costs, &mut obs);
+    let report = run_serve_chaos(&scenario.config, &scenario.chaos, costs, &mut obs);
     ChaosScenarioRun {
         name: scenario.name,
         report,

@@ -1,29 +1,107 @@
-//! The equivalence golden gate: the event-driven scheduler
-//! (`serve::server`) must match the frozen seed step-scan scheduler
+//! The equivalence golden gate: every fault-free entry point into the
+//! event-driven loops must match the frozen seed step-scan scheduler
 //! (`serve::reference`) **byte for byte** — reports, per-request
 //! outcomes, metrics text and Chrome traces — on the four canonical
-//! scenarios and on a sweep of synthetic edge configurations. This is
-//! the proof required before the old loop was deleted, kept forever so
-//! engine changes cannot silently move the serving baselines.
+//! scenarios and on a sweep of synthetic edge configurations:
+//!
+//! - `run_serve`, the fault-free entry point;
+//! - `run_serve_chaos` under an empty plan (the eager loop);
+//! - `run_serve_policy` under plain FIFO and an empty plan (the lazy
+//!   loop).
+//!
+//! This is the proof required before the seed loop was deleted, kept
+//! forever so engine changes cannot silently move the serving
+//! baselines. The reference runs no miss coalescing; the coalescing
+//! path is pinned by the `serve-xl` golden and the host-clock
+//! benchmark's committed `serve-hot` digests.
 
 use afsb_core::resilience::Deadline;
 use afsb_rt::obs::ObsSession;
 use afsb_seq::samples::SampleId;
+use afsb_serve::chaos::{run_serve_chaos, ChaosConfig};
+use afsb_serve::policy::{run_serve_policy, PolicyConfig};
 use afsb_serve::reference::run_serve_reference;
-use afsb_serve::scenario::{default_scenarios, SERVE_SEED};
-use afsb_serve::server::{run_serve, CostTable, ServeConfig, ShapeCost};
+use afsb_serve::scenario::default_scenarios;
+use afsb_serve::server::{run_serve, CostTable, ServeConfig, ServeReport, ShapeCost};
 use afsb_serve::workload::WorkloadConfig;
 use afsb_simarch::Platform;
 use std::collections::BTreeMap;
 
-/// Assert every observable of one (config, costs) run agrees between
-/// the two schedulers, down to the bytes.
+/// Assert all three entry points reproduce the frozen reference on one
+/// (config, costs) pair, and that the two loops' passive runs assign
+/// every admitted request a full-quality completion with no fault.
 fn assert_equivalent(name: &str, config: &ServeConfig, costs: &CostTable) {
-    let mut engine_obs = ObsSession::new();
     let mut seed_obs = ObsSession::new();
-    let engine = run_serve(config, costs, &mut engine_obs);
     let seed = run_serve_reference(config, costs, &mut seed_obs);
 
+    let mut obs = ObsSession::new();
+    let report = run_serve(config, costs, &mut obs);
+    assert_matches(
+        &format!("{name}/run_serve"),
+        &report,
+        &obs,
+        &seed,
+        &seed_obs,
+    );
+
+    let mut obs = ObsSession::new();
+    let chaos = run_serve_chaos(config, &ChaosConfig::none(), costs, &mut obs);
+    assert_matches(
+        &format!("{name}/chaos"),
+        &chaos.base,
+        &obs,
+        &seed,
+        &seed_obs,
+    );
+    assert_eq!(
+        chaos.render(),
+        seed.render(),
+        "{name}/chaos: chaos block must be absent"
+    );
+
+    let mut obs = ObsSession::new();
+    let policy = run_serve_policy(
+        config,
+        &PolicyConfig::fifo(),
+        &ChaosConfig::none(),
+        costs,
+        &mut obs,
+    );
+    assert_matches(
+        &format!("{name}/policy"),
+        &policy.chaos.base,
+        &obs,
+        &seed,
+        &seed_obs,
+    );
+    assert_eq!(
+        policy.render(),
+        seed.render(),
+        "{name}/policy: the plain-FIFO render must not grow a policy line"
+    );
+
+    for (loop_name, c) in [("chaos", &chaos), ("policy", &policy.chaos)] {
+        assert!(
+            c.conserves_requests(),
+            "{name}/{loop_name}: conservation broken"
+        );
+        assert!(!c.chaos_active);
+        assert_eq!(
+            c.completed, c.admitted,
+            "{name}/{loop_name}: passive run degraded/shed/failed"
+        );
+        assert!(c.fault_events.is_empty());
+    }
+}
+
+/// Assert one run's every observable equals the reference's.
+fn assert_matches(
+    name: &str,
+    engine: &ServeReport,
+    engine_obs: &ObsSession,
+    seed: &ServeReport,
+    seed_obs: &ObsSession,
+) {
     assert_eq!(engine.outcomes, seed.outcomes, "{name}: outcomes diverged");
     assert_eq!(
         engine.makespan_s.to_bits(),
@@ -81,9 +159,8 @@ fn assert_equivalent(name: &str, config: &ServeConfig, costs: &CostTable) {
 
 #[test]
 fn canonical_scenarios_match_the_seed_scheduler_byte_for_byte() {
-    let costs = CostTable::build(Platform::Server, true, 4, SERVE_SEED);
     for scenario in default_scenarios(true) {
-        assert_equivalent(scenario.name, &scenario.config, &costs);
+        assert_equivalent(scenario.name, &scenario.config, CostTable::canonical(true));
     }
 }
 
