@@ -17,6 +17,8 @@ run cargo build --release --offline --workspace
 run cargo test -q --offline --workspace
 run cargo fmt --check
 run cargo clippy --offline --workspace --all-targets -- -D warnings
+# Rustdoc gate: every intra-doc link must resolve to a public item.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 # Chaos determinism sweep: re-run the fault-injection suite under three
 # fixed seeds. The suite asserts that every seeded plan reaches the same

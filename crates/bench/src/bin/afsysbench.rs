@@ -55,96 +55,75 @@
 
 use afsb_bench::Harness;
 use afsb_perf::baseline::{diff, DiffTolerances, PerfBaseline};
-use afsb_perf::profile::{baseline_file_name, run_profile, PROFILE_EXPERIMENTS};
+use afsb_perf::profile::{baseline_file_name, profile_names, run_profile};
 use afsb_rt::{FromJson, Json, ToJson};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-const EXPERIMENTS: &[&str] = &[
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "ablation-persistent",
-    "ablation-storage",
-    "estimator",
-    "recommend",
-    "trace",
-    "serve",
-    "serve-xl",
-    "serve-chaos",
-    "serve-telemetry",
-    "serve-whatif",
-    "serve-policy",
+/// One `afsysbench` experiment: its name and the driver that renders
+/// its output.
+type Experiment = (&'static str, fn(&mut Harness) -> String);
+
+/// Every experiment, in `all` order. `table6` and `fig9` name the same
+/// combined run.
+const EXPERIMENTS: &[Experiment] = &[
+    ("table1", Harness::table1),
+    ("table2", Harness::table2),
+    ("table3", Harness::table3),
+    ("table4", Harness::table4),
+    ("table5", Harness::table5),
+    ("table6", Harness::fig9_table6),
+    ("fig2", Harness::fig2),
+    ("fig3", |h| {
+        let (table, csv) = h.fig3();
+        format!("{table}\nCSV:\n{csv}")
+    }),
+    ("fig4", Harness::fig4),
+    ("fig5", Harness::fig5),
+    ("fig6", Harness::fig6),
+    ("fig7", Harness::fig7),
+    ("fig8", Harness::fig8),
+    ("fig9", Harness::fig9_table6),
+    ("ablation-persistent", Harness::ablation_persistent),
+    ("ablation-storage", Harness::ablation_storage),
+    ("estimator", Harness::estimator),
+    ("recommend", Harness::recommend),
+    ("trace", trace),
+    ("serve", |h| h.serve()),
+    ("serve-xl", |h| h.serve_xl()),
+    ("serve-chaos", |h| h.serve_chaos()),
+    ("serve-telemetry", |h| h.serve_telemetry()),
+    ("serve-whatif", |h| h.serve_whatif()),
+    ("serve-policy", |h| h.serve_policy()),
 ];
 
 fn usage() -> ! {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
     eprintln!(
         "usage: afsysbench <experiment...|all> [--quick] [--out DIR]\n\
          \x20      afsysbench profile <experiment>... [--quick] [--timeline] [--critical-path] [--out DIR]\n\
          \x20      afsysbench perf-diff <baseline.json> <current.json>\n\n\
          experiments: {}\nprofile experiments: {}",
-        EXPERIMENTS.join(", "),
-        PROFILE_EXPERIMENTS.join(", ")
+        names.join(", "),
+        profile_names()
     );
     std::process::exit(2);
 }
 
-fn run_one(harness: &mut Harness, name: &str) -> Option<String> {
-    let out = match name {
-        "table1" => harness.table1(),
-        "table2" => harness.table2(),
-        "table3" => harness.table3(),
-        "table4" => harness.table4(),
-        "table5" => harness.table5(),
-        "table6" | "fig9" => harness.fig9_table6(),
-        "fig2" => harness.fig2(),
-        "fig3" => {
-            let (table, csv) = harness.fig3();
-            format!("{table}\nCSV:\n{csv}")
+/// The `trace` experiment: one traced resilient pipeline, with the
+/// Chrome trace and its flamegraph sibling written next to the output.
+fn trace(harness: &mut Harness) -> String {
+    let (mut text, trace, flame) = harness.trace(17);
+    let trace_path =
+        PathBuf::from(std::env::var("AFSB_TRACE").unwrap_or_else(|_| "trace.json".to_owned()));
+    let flame_path = trace_path.with_extension("flame.txt");
+    for (path, content) in [(&trace_path, &trace), (&flame_path, &flame)] {
+        match fs::write(path, content) {
+            Ok(()) => text.push_str(&format!("\nwrote {}", path.display())),
+            Err(e) => eprintln!("failed to write {}: {e}", path.display()),
         }
-        "fig4" => harness.fig4(),
-        "fig5" => harness.fig5(),
-        "fig6" => harness.fig6(),
-        "fig7" => harness.fig7(),
-        "fig8" => harness.fig8(),
-        "ablation-persistent" => harness.ablation_persistent(),
-        "ablation-storage" => harness.ablation_storage(),
-        "estimator" => harness.estimator(),
-        "recommend" => harness.recommend(),
-        "serve" => harness.serve(),
-        "serve-xl" => harness.serve_xl(),
-        "serve-chaos" => harness.serve_chaos(),
-        "serve-telemetry" => harness.serve_telemetry(),
-        "serve-whatif" => harness.serve_whatif(),
-        "serve-policy" => harness.serve_policy(),
-        "trace" => {
-            let (mut text, trace, flame) = harness.trace(17);
-            let trace_path = PathBuf::from(
-                std::env::var("AFSB_TRACE").unwrap_or_else(|_| "trace.json".to_owned()),
-            );
-            let flame_path = trace_path.with_extension("flame.txt");
-            for (path, content) in [(&trace_path, &trace), (&flame_path, &flame)] {
-                match fs::write(path, content) {
-                    Ok(()) => text.push_str(&format!("\nwrote {}", path.display())),
-                    Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-                }
-            }
-            text
-        }
-        _ => return None,
-    };
-    Some(out)
+    }
+    text
 }
 
 /// Write one output file under `dir`, creating the directory if needed.
@@ -166,7 +145,7 @@ fn cmd_profile(
     if experiments.is_empty() {
         eprintln!(
             "profile needs at least one experiment (available: {})",
-            PROFILE_EXPERIMENTS.join(", ")
+            profile_names()
         );
         std::process::exit(2);
     }
@@ -291,16 +270,20 @@ fn main() {
 
     let mut harness = Harness::new(quick);
     let names: Vec<String> = if targets.iter().any(|t| t == "all") {
-        EXPERIMENTS.iter().map(|s| (*s).to_owned()).collect()
+        EXPERIMENTS
+            .iter()
+            .map(|(name, _)| (*name).to_owned())
+            .collect()
     } else {
         targets
     };
 
     for name in &names {
-        let Some(output) = run_one(&mut harness, name) else {
+        let Some((_, run)) = EXPERIMENTS.iter().find(|(n, _)| n == name) else {
             eprintln!("unknown experiment: {name}");
             usage();
         };
+        let output = run(&mut harness);
         println!("\n########## {name} ##########\n{output}");
         if let Some(dir) = &out_dir {
             if let Err(e) = fs::create_dir_all(dir)

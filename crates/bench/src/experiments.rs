@@ -1,6 +1,6 @@
 //! The experiment implementations, one per paper table/figure.
 
-use afsb_core::context::{BenchContext, ContextConfig};
+use afsb_core::context::{self, BenchContext};
 use afsb_core::inference_phase::{self, InferenceOptions};
 use afsb_core::msa_phase::{self, MsaPhaseOptions};
 use afsb_core::pipeline::{self, PipelineOptions};
@@ -34,13 +34,9 @@ impl Harness {
     /// Create a harness. `quick` shrinks the synthetic databases and the
     /// simulation sampling budget (used by tests and smoke runs).
     pub fn new(quick: bool) -> Harness {
-        let config = if quick {
-            ContextConfig::test()
-        } else {
-            ContextConfig::bench()
-        };
+        let (config, sample_cap) = context::scale(quick);
         let msa_options = MsaPhaseOptions {
-            sample_cap: if quick { 400_000 } else { 6_000_000 },
+            sample_cap,
             ..MsaPhaseOptions::default()
         };
         Harness {
@@ -363,13 +359,11 @@ impl Harness {
                 .iter()
                 .map(|(label, s)| vec![label.clone(), format!("{:.1}%", s / total * 100.0)])
                 .collect();
-            rows.sort_by(|a, b| {
-                b[1].trim_end_matches('%')
-                    .parse::<f64>()
-                    .unwrap_or(0.0)
-                    .partial_cmp(&a[1].trim_end_matches('%').parse::<f64>().unwrap_or(0.0))
-                    .unwrap()
-            });
+            // Sort on the rounded, printed share so rows that tie at one
+            // decimal keep their label order.
+            let printed =
+                |row: &[String]| row[1].trim_end_matches('%').parse::<f64>().unwrap_or(0.0);
+            rows.sort_by(|a, b| printed(b).total_cmp(&printed(a)));
             out.push_str(&format!(
                 "\n{}:\n{}",
                 id.name(),
@@ -650,16 +644,16 @@ impl Harness {
     /// Multi-query serving: the canonical scenario set (feature-cache
     /// and GPU-batching ablations) on the Server.
     pub fn serve(&self) -> String {
-        let runs = afsb_serve::scenario::run_default(self.quick);
-        afsb_serve::scenario::render_summary(&runs)
+        let runs = afsb_serve::run_scenarios(afsb_serve::default_scenarios(self.quick), self.quick);
+        afsb_serve::render_summary(&runs)
     }
 
     /// Multi-query serving at production scale: the same ablations over
     /// a 10k-request (quick) / 100k-request (full) stream with miss
     /// coalescing on — the event engine's scale exercise.
     pub fn serve_xl(&self) -> String {
-        let runs = afsb_serve::scenario::run_xl(self.quick);
-        afsb_serve::scenario::render_summary(&runs)
+        let runs = afsb_serve::run_scenarios(afsb_serve::xl_scenarios(self.quick), self.quick);
+        afsb_serve::render_summary(&runs)
     }
 
     /// Serving under faults: the canonical chaos matrix (fault-free
@@ -667,8 +661,8 @@ impl Harness {
     /// sink) with the recovery policy on — availability, goodput and
     /// per-disposition counts per scenario.
     pub fn serve_chaos(&self) -> String {
-        let runs = afsb_serve::chaos::run_chaos(self.quick);
-        afsb_serve::chaos::render_chaos_summary(&runs)
+        let runs = afsb_serve::run_scenarios(afsb_serve::chaos_scenarios(self.quick), self.quick);
+        afsb_serve::render_chaos_summary(&runs)
     }
 
     /// Causal what-if projection: critical-path extraction over the

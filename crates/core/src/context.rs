@@ -324,6 +324,18 @@ impl BenchContext {
 /// Default engine sample cap re-export (keeps bench call sites tidy).
 pub const SAMPLE_CAP: u64 = calib::DEFAULT_SAMPLE_CAP;
 
+/// The quick/full experiment scale: the context and engine sample cap
+/// every harness runs with. `quick` selects the test-scale databases
+/// and a 400k sampling budget; full mode the bench-scale databases and
+/// [`calib::DEFAULT_SAMPLE_CAP`].
+pub fn scale(quick: bool) -> (ContextConfig, u64) {
+    if quick {
+        (ContextConfig::test(), 400_000)
+    } else {
+        (ContextConfig::bench(), calib::DEFAULT_SAMPLE_CAP)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

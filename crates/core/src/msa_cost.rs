@@ -4,7 +4,7 @@
 //! architecture simulator. Each profiled symbol gets:
 //!
 //! - an **instruction count** derived from executed work (DP cells,
-//!   copied bytes) via the rates in [`calib::MsaCostModel`], and
+//!   copied bytes) via the rates in [`calib::MsaCostModel`](crate::calib::MsaCostModel), and
 //! - an **access-pattern mix** declaring its locality structure:
 //!
 //! | Symbol         | Derived from                 | Locality |

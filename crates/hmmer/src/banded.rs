@@ -3,8 +3,8 @@
 //! Filter survivors are realigned with a Viterbi restricted to a band of
 //! query columns around the best SSV diagonal. The row computation is
 //! split into the two kernels that dominate the paper's function-level
-//! profile (Table IV): [`calc_band_9`] computes the match/insert states of
-//! a band row, and [`calc_band_10`] computes the delete chain and the
+//! profile (Table IV): `calc_band_9` computes the match/insert states of
+//! a band row, and `calc_band_10` computes the delete chain and the
 //! row's best-cell bookkeeping. Together they consume ~55 % of MSA CPU
 //! cycles in the paper; the same two symbols are what `afsb-core` reports.
 

@@ -1,7 +1,7 @@
 //! `iostat -x`-style device sampling over the simulated storage model.
 //!
 //! `simarch::storage` prices an I/O phase as one aggregate
-//! [`IostatSample`]; this module unrolls that phase into a per-interval
+//! [`IostatSample`](afsb_simarch::storage::IostatSample); this module unrolls that phase into a per-interval
 //! time series the way `iostat` samples a live device: the device
 //! streams the phase's cold bytes at peak rate until the transfer
 //! completes, then idles — and once compute finishes, any remaining

@@ -31,6 +31,6 @@ pub mod record;
 pub mod stat;
 
 pub use baseline::{diff, DiffReport, DiffTolerances, PerfBaseline};
-pub use profile::{baseline_file_name, run_profile, ProfileArtifacts, PROFILE_EXPERIMENTS};
+pub use profile::{baseline_file_name, profile_names, run_profile, ProfileArtifacts, PROFILES};
 pub use record::SampledProfile;
 pub use stat::PerfStatReport;

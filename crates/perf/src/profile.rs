@@ -36,7 +36,7 @@ use crate::baseline::{PerfBaseline, SampledSummary, SymbolTable};
 use crate::iostat::IostatTimeline;
 use crate::record::{SampledProfile, DEFAULT_SAMPLES};
 use crate::stat::{cpu_derived, symbol_rows, CpuDerived, PerfStatReport};
-use afsb_core::context::{BenchContext, ContextConfig};
+use afsb_core::context::{scale, BenchContext};
 use afsb_core::msa_phase::MsaPhaseOptions;
 use afsb_core::pipeline::PipelineOptions;
 use afsb_core::runner::{msa_thread_sweep, MSA_THREAD_SWEEP};
@@ -44,19 +44,29 @@ use afsb_core::trace::{record_msa_phase, run_pipeline_traced};
 use afsb_model::ModelConfig;
 use afsb_rt::obs::ObsSession;
 use afsb_seq::samples::SampleId;
+use afsb_serve::{PolicyReport, ScenarioRun};
 use afsb_simarch::Platform;
 use std::fmt::Write as _;
 
-/// Experiments `afsysbench profile` understands.
-pub const PROFILE_EXPERIMENTS: [&str; 7] = [
-    "pipeline",
-    "msa-sweep",
-    "serve",
-    "serve-xl",
-    "serve-chaos",
-    "serve-whatif",
-    "serve-policy",
+/// One profiling experiment: its name and its driver (`quick` in).
+pub type Profile = (&'static str, fn(bool) -> ProfileArtifacts);
+
+/// Experiments `afsysbench profile` understands, in listing order,
+/// with their drivers.
+pub const PROFILES: [Profile; 7] = [
+    ("pipeline", profile_pipeline),
+    ("msa-sweep", profile_msa_sweep),
+    ("serve", profile_serve),
+    ("serve-xl", profile_serve_xl),
+    ("serve-chaos", profile_serve_chaos),
+    ("serve-whatif", profile_serve_whatif),
+    ("serve-policy", profile_serve_policy),
 ];
+
+/// The names of [`PROFILES`], comma-separated (usage and error text).
+pub fn profile_names() -> String {
+    PROFILES.map(|(name, _)| name).join(", ")
+}
 
 /// Seed shared by the profiled runs (matches the bench harness).
 pub const PROFILE_SEED: u64 = 17;
@@ -94,27 +104,16 @@ pub fn baseline_file_name(experiment: &str) -> String {
 /// Run the named profiling experiment. `Err` lists the known
 /// experiments when the name is unknown.
 pub fn run_profile(experiment: &str, quick: bool) -> Result<ProfileArtifacts, String> {
-    match experiment {
-        "pipeline" => Ok(profile_pipeline(quick)),
-        "msa-sweep" => Ok(profile_msa_sweep(quick)),
-        "serve" => Ok(profile_serve(quick)),
-        "serve-xl" => Ok(profile_serve_xl(quick)),
-        "serve-chaos" => Ok(profile_serve_chaos(quick)),
-        "serve-whatif" => Ok(profile_serve_whatif(quick)),
-        "serve-policy" => Ok(profile_serve_policy(quick)),
-        other => Err(format!(
-            "unknown profile experiment `{other}` (available: {})",
-            PROFILE_EXPERIMENTS.join(", ")
-        )),
-    }
-}
-
-fn scale(quick: bool) -> (ContextConfig, u64) {
-    if quick {
-        (ContextConfig::test(), 400_000)
-    } else {
-        (ContextConfig::bench(), 6_000_000)
-    }
+    let (_, profile) = PROFILES
+        .iter()
+        .find(|(name, _)| *name == experiment)
+        .ok_or_else(|| {
+            format!(
+                "unknown profile experiment `{experiment}` (available: {})",
+                profile_names()
+            )
+        })?;
+    Ok(profile(quick))
 }
 
 fn push_derived(metrics: &mut Vec<(String, f64)>, prefix: &str, d: &CpuDerived) {
@@ -289,88 +288,44 @@ pub fn profile_msa_sweep(quick: bool) -> ProfileArtifacts {
 }
 
 /// Profile the canonical serving scenarios (Server, quick or full
-/// stream) with telemetry armed — telemetry is observation-only, so
-/// every pre-existing metric matches a bare `run_default` bit for bit,
-/// while `attr.*`/`slo.*` metrics and the `--timeline` artifact are
-/// added. Metrics are prefixed per scenario (`cold.qph`, …); the
-/// sampled profile covers the cold scenario's trace.
+/// stream), each [`observed`](afsb_serve::Scenario::observed) —
+/// telemetry and provenance are observation-only, so every
+/// pre-existing metric matches a bare run bit for bit, while
+/// `attr.*`/`slo.*` metrics, the `--timeline` artifact and the
+/// `--critical-path` artifact are added. Metrics are prefixed per
+/// scenario (`cold.qph`, …); the sampled profile covers the cold
+/// scenario's trace.
 pub fn profile_serve(quick: bool) -> ProfileArtifacts {
-    serve_artifacts(
-        "serve",
-        afsb_serve::scenario::run_default_telemetry(quick),
-        quick,
-    )
+    let scenarios = afsb_serve::default_scenarios(quick)
+        .into_iter()
+        .map(|s| s.observed(quick))
+        .collect();
+    let runs = afsb_serve::run_scenarios(scenarios, quick);
+    let summary = afsb_serve::render_summary(&runs);
+    SERVE.emit(&runs, summary, Vec::new(), quick)
 }
 
 /// Profile the XL serving scenarios — the same four ablations over a
 /// 10k-request (quick) / 100k-request (full) Poisson/Zipf stream with
 /// miss coalescing on. Adds the coalescing counter per scenario.
 pub fn profile_serve_xl(quick: bool) -> ProfileArtifacts {
-    serve_artifacts("serve-xl", afsb_serve::scenario::run_xl(quick), quick)
+    let runs = afsb_serve::run_scenarios(afsb_serve::xl_scenarios(quick), quick);
+    let summary = afsb_serve::render_summary(&runs);
+    SERVE_XL.emit(&runs, summary, Vec::new(), quick)
 }
 
 /// Profile the serve-chaos matrix — the canonical fault-injection
-/// scenarios with the recovery policy on. Metrics are prefixed per
-/// scenario (`kitchen-sink.goodput`, …); the sampled profile covers
-/// the kitchen-sink trace, the fault-richest scenario.
+/// scenarios with the recovery policy on, each observed. Metrics are
+/// prefixed per scenario (`kitchen-sink.goodput`, …); the sampled
+/// profile covers the kitchen-sink trace, the fault-richest scenario.
 pub fn profile_serve_chaos(quick: bool) -> ProfileArtifacts {
-    let runs = afsb_serve::chaos::run_chaos_telemetry(quick);
-    let mut metrics = Vec::new();
-    for run in &runs {
-        let r = &run.report;
-        let p = run.name;
-        metrics.push((format!("{p}.availability"), r.availability));
-        metrics.push((format!("{p}.goodput"), r.goodput));
-        metrics.push((format!("{p}.completed"), r.completed as f64));
-        metrics.push((format!("{p}.degraded"), r.degraded as f64));
-        metrics.push((format!("{p}.degraded_attempts"), r.degraded_attempts as f64));
-        metrics.push((format!("{p}.shed"), r.shed as f64));
-        metrics.push((format!("{p}.failed"), r.failed as f64));
-        metrics.push((format!("{p}.requeues"), r.requeues as f64));
-        metrics.push((format!("{p}.faults"), r.fault_events.len() as f64));
-        metrics.push((format!("{p}.lost_s"), r.lost_seconds));
-        metrics.push((format!("{p}.qph"), r.base.throughput_qph));
-        metrics.push((format!("wall.{p}_makespan_s"), r.base.makespan_s));
-        push_telemetry_metrics(&mut metrics, p, &r.base);
-    }
-
-    let sink = runs.last().expect("chaos matrix is non-empty");
-    let sampled = SampledProfile::capture_n(&sink.obs.tracer, DEFAULT_SAMPLES);
-
-    let mut report_text = afsb_serve::chaos::render_chaos_summary(&runs);
-    report_text.push('\n');
-    report_text.push_str(&sampled.render_top(SAMPLED_TOP_N));
-
-    let timeline: String = runs
-        .iter()
-        .map(|run| afsb_serve::render_timeline_block(run.name, &run.report.base))
+    let scenarios = afsb_serve::chaos_scenarios(quick)
+        .into_iter()
+        .map(|s| s.observed(quick))
         .collect();
-    let latency_csv = sink
-        .obs
-        .metrics
-        .histogram("serve.latency_s")
-        .map(|h| h.to_csv());
-
-    let critpath: String = runs
-        .iter()
-        .filter_map(|run| critpath_block(run.name, &run.report.base))
-        .collect();
-
-    ProfileArtifacts {
-        baseline: PerfBaseline {
-            experiment: "serve-chaos".to_owned(),
-            seed: afsb_serve::scenario::SERVE_SEED,
-            quick,
-            metrics,
-            symbol_tables: Vec::new(),
-            sampled: SampledSummary::from_profile(&sampled, SAMPLED_TOP_N),
-        },
-        report_text,
-        collapsed: sampled.collapsed(),
-        timeline: (!timeline.is_empty()).then_some(timeline),
-        latency_csv,
-        critpath: (!critpath.is_empty()).then_some(critpath),
-    }
+    let runs = afsb_serve::run_scenarios(scenarios, quick);
+    let summary = afsb_serve::render_chaos_summary(&runs);
+    SERVE_CHAOS.emit(&runs, summary, Vec::new(), quick)
 }
 
 /// Profile the causal what-if experiment: critical-path extraction
@@ -450,70 +405,195 @@ pub fn profile_serve_whatif(quick: bool) -> ProfileArtifacts {
 /// dominance or drifts the projection.
 pub fn profile_serve_policy(quick: bool) -> ProfileArtifacts {
     let matrix = afsb_serve::run_policy_matrix(quick);
-    let mut metrics = Vec::new();
-    for run in &matrix.runs {
-        let r = &run.report;
-        let p = run.name;
-        metrics.push((format!("{p}.qph"), r.chaos.base.throughput_qph));
-        metrics.push((format!("wall.{p}_makespan_s"), r.chaos.base.makespan_s));
-        metrics.push((format!("{p}.latency_p50_s"), r.exact_percentile_s(0.50)));
-        metrics.push((format!("{p}.latency_p99_s"), r.exact_percentile_s(0.99)));
-        metrics.push((format!("{p}.gpu_occupancy"), r.chaos.base.gpu_occupancy));
-        metrics.push((format!("{p}.goodput"), r.chaos.goodput));
-        metrics.push((format!("{p}.completed"), r.chaos.completed as f64));
-        metrics.push((format!("{p}.degraded"), r.chaos.degraded as f64));
-        metrics.push((
-            format!("{p}.deadline_missed"),
-            r.chaos.base.deadline_missed as f64,
-        ));
-        if r.preemptions > 0 {
-            metrics.push((format!("{p}.preemptions"), r.preemptions as f64));
-            metrics.push((format!("{p}.preempt_lost_s"), r.preempt_lost_s));
-        }
-        push_telemetry_metrics(&mut metrics, p, &r.chaos.base);
-    }
-    metrics.push((
+    let mut verdicts = vec![(
         "dominance.policies_beating_fifo".to_owned(),
         matrix.dominating().len() as f64,
-    ));
+    )];
     if let Some(v) = &matrix.whatif {
-        metrics.push(("whatif.speedup".to_owned(), v.speedup));
-        metrics.push((
-            "whatif.predicted_delta_pct".to_owned(),
-            v.predicted_delta_pct,
-        ));
-        metrics.push(("whatif.measured_delta_pct".to_owned(), v.measured_delta_pct));
-        metrics.push(("whatif.error_pp".to_owned(), v.error_pp));
+        verdicts.extend([
+            ("whatif.speedup".to_owned(), v.speedup),
+            (
+                "whatif.predicted_delta_pct".to_owned(),
+                v.predicted_delta_pct,
+            ),
+            ("whatif.measured_delta_pct".to_owned(), v.measured_delta_pct),
+            ("whatif.error_pp".to_owned(), v.error_pp),
+        ]);
     }
+    let summary = afsb_serve::render_policy_matrix(&matrix);
+    SERVE_POLICY.emit(&matrix.runs, summary, verdicts, quick)
+}
 
-    let fifo = matrix.fifo();
-    let sampled = SampledProfile::capture_n(&fifo.obs.tracer, DEFAULT_SAMPLES);
+/// One serving metric: a key and its value for one run (`None` skips
+/// the metric for that run). Key `k` emits `{scenario}.k`; key
+/// `wall.k` emits `wall.{scenario}_k`.
+type Column = (&'static str, fn(&PolicyReport) -> Option<f64>);
 
-    let mut report_text = afsb_serve::render_policy_matrix(&matrix);
-    report_text.push('\n');
-    report_text.push_str(&sampled.render_top(SAMPLED_TOP_N));
+/// A serving experiment profiled from a run set: its per-run metric
+/// columns and the run whose trace and latency histogram are captured.
+struct ServingProfile {
+    experiment: &'static str,
+    columns: &'static [Column],
+    sampled_run: &'static str,
+}
 
-    let latency_csv = fifo
-        .obs
-        .metrics
-        .histogram("serve.latency_s")
-        .map(|h| h.to_csv());
-    let critpath = critpath_block("fifo", &fifo.report.chaos.base);
+/// The throughput, cache, batching and latency columns of the
+/// canonical and XL scenario sets.
+const SCENARIO_COLUMNS: &[Column] = &[
+    ("qph", |r| Some(r.base().throughput_qph)),
+    ("wall.makespan_s", |r| Some(r.base().makespan_s)),
+    ("cache_hit_rate", |r| Some(r.base().cache_hit_rate)),
+    ("gpu_occupancy", |r| Some(r.base().gpu_occupancy)),
+    ("gpu_batches", |r| Some(r.base().batches as f64)),
+    ("deadline_missed", |r| Some(r.base().deadline_missed as f64)),
+    ("cache_coalesced", |r| {
+        let n = r.base().cache_coalesced;
+        (n > 0).then_some(n as f64)
+    }),
+    ("latency_p50_s", |r| {
+        r.base().latency.as_ref().map(|l| l.p50)
+    }),
+    ("latency_p90_s", |r| {
+        r.base().latency.as_ref().map(|l| l.p90)
+    }),
+    ("latency_p99_s", |r| {
+        r.base().latency.as_ref().map(|l| l.p99)
+    }),
+];
 
-    ProfileArtifacts {
-        baseline: PerfBaseline {
-            experiment: "serve-policy".to_owned(),
-            seed: afsb_serve::scenario::SERVE_SEED,
-            quick,
-            metrics,
-            symbol_tables: Vec::new(),
-            sampled: SampledSummary::from_profile(&sampled, SAMPLED_TOP_N),
-        },
-        report_text,
-        collapsed: sampled.collapsed(),
-        timeline: None,
-        latency_csv,
-        critpath,
+const SERVE: ServingProfile = ServingProfile {
+    experiment: "serve",
+    columns: SCENARIO_COLUMNS,
+    sampled_run: "cold",
+};
+
+const SERVE_XL: ServingProfile = ServingProfile {
+    experiment: "serve-xl",
+    columns: SCENARIO_COLUMNS,
+    sampled_run: "cold",
+};
+
+const SERVE_CHAOS: ServingProfile = ServingProfile {
+    experiment: "serve-chaos",
+    columns: &[
+        ("availability", |r| Some(r.chaos.availability)),
+        ("goodput", |r| Some(r.chaos.goodput)),
+        ("completed", |r| Some(r.chaos.completed as f64)),
+        ("degraded", |r| Some(r.chaos.degraded as f64)),
+        ("degraded_attempts", |r| {
+            Some(r.chaos.degraded_attempts as f64)
+        }),
+        ("shed", |r| Some(r.chaos.shed as f64)),
+        ("failed", |r| Some(r.chaos.failed as f64)),
+        ("requeues", |r| Some(r.chaos.requeues as f64)),
+        ("faults", |r| Some(r.chaos.fault_events.len() as f64)),
+        ("lost_s", |r| Some(r.chaos.lost_seconds)),
+        ("qph", |r| Some(r.base().throughput_qph)),
+        ("wall.makespan_s", |r| Some(r.base().makespan_s)),
+    ],
+    sampled_run: "kitchen-sink",
+};
+
+const SERVE_POLICY: ServingProfile = ServingProfile {
+    experiment: "serve-policy",
+    columns: &[
+        ("qph", |r| Some(r.base().throughput_qph)),
+        ("wall.makespan_s", |r| Some(r.base().makespan_s)),
+        ("latency_p50_s", |r| Some(r.exact_percentile_s(0.50))),
+        ("latency_p99_s", |r| Some(r.exact_percentile_s(0.99))),
+        ("gpu_occupancy", |r| Some(r.base().gpu_occupancy)),
+        ("goodput", |r| Some(r.chaos.goodput)),
+        ("completed", |r| Some(r.chaos.completed as f64)),
+        ("degraded", |r| Some(r.chaos.degraded as f64)),
+        ("deadline_missed", |r| Some(r.base().deadline_missed as f64)),
+        ("preemptions", |r| {
+            (r.preemptions > 0).then_some(r.preemptions as f64)
+        }),
+        ("preempt_lost_s", |r| {
+            (r.preemptions > 0).then_some(r.preempt_lost_s)
+        }),
+    ],
+    sampled_run: "fifo",
+};
+
+impl ServingProfile {
+    /// Fold `runs` into the baseline — per run, the columns then the
+    /// `attr.*`/`slo.*` telemetry metrics; then the experiment-level
+    /// `trailing` metrics — and build every artifact: the sampled
+    /// profile and latency CSV from the sampled run, the timeline and
+    /// critical-path blocks from all runs.
+    fn emit(
+        &self,
+        runs: &[ScenarioRun],
+        summary: String,
+        trailing: Vec<(String, f64)>,
+        quick: bool,
+    ) -> ProfileArtifacts {
+        let mut metrics = Vec::new();
+        for run in runs {
+            let p = run.name;
+            metrics.extend(self.columns.iter().filter_map(|(key, value)| {
+                let name = match key.strip_prefix("wall.") {
+                    Some(k) => format!("wall.{p}_{k}"),
+                    None => format!("{p}.{key}"),
+                };
+                value(&run.report).map(|v| (name, v))
+            }));
+            let r = run.report.base();
+            if let Some(shares) = r.attribution_shares() {
+                metrics.extend(
+                    shares
+                        .into_iter()
+                        .map(|(phase, share)| (format!("{p}.attr.{phase}"), share)),
+                );
+            }
+            if let Some(slo) = &r.slo {
+                metrics.extend([
+                    (format!("{p}.slo.burn_events"), slo.burn_events as f64),
+                    (format!("{p}.slo.clear_events"), slo.clear_events as f64),
+                    (format!("{p}.slo.max_burn"), slo.max_burn),
+                    (format!("{p}.slo.alert_s"), slo.alert_seconds),
+                ]);
+            }
+        }
+        metrics.extend(trailing);
+
+        let sampled_run = runs
+            .iter()
+            .find(|run| run.name == self.sampled_run)
+            .expect("the sampled run is in the set");
+        let sampled = SampledProfile::capture_n(&sampled_run.obs.tracer, DEFAULT_SAMPLES);
+        let mut report_text = summary;
+        report_text.push('\n');
+        report_text.push_str(&sampled.render_top(SAMPLED_TOP_N));
+
+        let timeline: String = runs
+            .iter()
+            .map(|run| afsb_serve::render_timeline_block(run.name, run.report.base()))
+            .collect();
+        let critpath: String = runs
+            .iter()
+            .filter_map(|run| critpath_block(run.name, run.report.base()))
+            .collect();
+        ProfileArtifacts {
+            baseline: PerfBaseline {
+                experiment: self.experiment.to_owned(),
+                seed: afsb_serve::scenario::SERVE_SEED,
+                quick,
+                metrics,
+                symbol_tables: Vec::new(),
+                sampled: SampledSummary::from_profile(&sampled, SAMPLED_TOP_N),
+            },
+            report_text,
+            collapsed: sampled.collapsed(),
+            timeline: (!timeline.is_empty()).then_some(timeline),
+            latency_csv: sampled_run
+                .obs
+                .metrics
+                .histogram("serve.latency_s")
+                .map(|h| h.to_csv()),
+            critpath: (!critpath.is_empty()).then_some(critpath),
+        }
     }
 }
 
@@ -529,88 +609,6 @@ fn critpath_block(name: &str, report: &afsb_serve::ServeReport) -> Option<String
     out.push_str(&path.collapsed(&format!("critpath;{name}")));
     out.push('\n');
     Some(out)
-}
-
-fn serve_artifacts(
-    experiment: &str,
-    runs: Vec<afsb_serve::ScenarioRun>,
-    quick: bool,
-) -> ProfileArtifacts {
-    let mut metrics = Vec::new();
-    for run in &runs {
-        let r = &run.report;
-        let p = run.name;
-        metrics.push((format!("{p}.qph"), r.throughput_qph));
-        metrics.push((format!("wall.{p}_makespan_s"), r.makespan_s));
-        metrics.push((format!("{p}.cache_hit_rate"), r.cache_hit_rate));
-        metrics.push((format!("{p}.gpu_occupancy"), r.gpu_occupancy));
-        metrics.push((format!("{p}.gpu_batches"), r.batches as f64));
-        metrics.push((format!("{p}.deadline_missed"), r.deadline_missed as f64));
-        if run.report.cache_coalesced > 0 {
-            metrics.push((format!("{p}.cache_coalesced"), r.cache_coalesced as f64));
-        }
-        if let Some(l) = &r.latency {
-            metrics.push((format!("{p}.latency_p50_s"), l.p50));
-            metrics.push((format!("{p}.latency_p90_s"), l.p90));
-            metrics.push((format!("{p}.latency_p99_s"), l.p99));
-        }
-        push_telemetry_metrics(&mut metrics, p, r);
-    }
-
-    let cold = runs.first().expect("scenario set is non-empty");
-    let sampled = SampledProfile::capture_n(&cold.obs.tracer, DEFAULT_SAMPLES);
-
-    let mut report_text = afsb_serve::scenario::render_summary(&runs);
-    report_text.push('\n');
-    report_text.push_str(&sampled.render_top(SAMPLED_TOP_N));
-
-    let timeline: String = runs
-        .iter()
-        .map(|run| afsb_serve::render_timeline_block(run.name, &run.report))
-        .collect();
-    let latency_csv = cold
-        .obs
-        .metrics
-        .histogram("serve.latency_s")
-        .map(|h| h.to_csv());
-    let critpath: String = runs
-        .iter()
-        .filter_map(|run| critpath_block(run.name, &run.report))
-        .collect();
-
-    ProfileArtifacts {
-        baseline: PerfBaseline {
-            experiment: experiment.to_owned(),
-            seed: afsb_serve::scenario::SERVE_SEED,
-            quick,
-            metrics,
-            symbol_tables: Vec::new(),
-            sampled: SampledSummary::from_profile(&sampled, SAMPLED_TOP_N),
-        },
-        report_text,
-        collapsed: sampled.collapsed(),
-        timeline: (!timeline.is_empty()).then_some(timeline),
-        latency_csv,
-        critpath: (!critpath.is_empty()).then_some(critpath),
-    }
-}
-
-/// Append the telemetry-derived metrics for one serving report:
-/// `attr.<phase>` latency-attribution shares (always available — phase
-/// segments are tracked unconditionally) and, when the SLO monitor was
-/// armed, the `slo.*` burn/alert summary.
-fn push_telemetry_metrics(metrics: &mut Vec<(String, f64)>, p: &str, r: &afsb_serve::ServeReport) {
-    if let Some(shares) = r.attribution_shares() {
-        for (phase, share) in shares {
-            metrics.push((format!("{p}.attr.{phase}"), share));
-        }
-    }
-    if let Some(slo) = &r.slo {
-        metrics.push((format!("{p}.slo.burn_events"), slo.burn_events as f64));
-        metrics.push((format!("{p}.slo.clear_events"), slo.clear_events as f64));
-        metrics.push((format!("{p}.slo.max_burn"), slo.max_burn));
-        metrics.push((format!("{p}.slo.alert_s"), slo.alert_seconds));
-    }
 }
 
 #[cfg(test)]

@@ -102,7 +102,7 @@ impl SampledProfile {
             .into_iter()
             .map(|(leaf, count)| (leaf.to_owned(), count as f64 / total))
             .collect();
-        rows.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        rows.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         rows
     }
 

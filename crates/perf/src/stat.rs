@@ -168,7 +168,7 @@ pub fn gpu_stat(inference: &InferencePhaseResult) -> GpuStat {
     let roofline = roofline_stats(&inference.model.cost_log, &device, b.uvm_fraction);
     let mut per_label_s: Vec<(String, f64)> =
         b.per_label_s.iter().map(|(k, &v)| (k.clone(), v)).collect();
-    per_label_s.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    per_label_s.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     GpuStat {
         device: device.name.to_owned(),
         init_s: b.init_s,

@@ -14,7 +14,7 @@
 //!   reports.
 //! - [`check`] — a tiny seeded property-testing harness (shrink-free,
 //!   failure-seed reporting) replacing `proptest`.
-//! - [`bench`] — a wall-clock micro-benchmark harness with warmup and
+//! - [`bench`](mod@bench) — a wall-clock micro-benchmark harness with warmup and
 //!   median reporting replacing `criterion`.
 //! - [`fault`] — a seeded, simulated-time fault-injection layer
 //!   ([`fault::FaultPlan`]/[`fault::FaultInjector`]) the pipeline's

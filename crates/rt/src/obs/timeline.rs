@@ -158,7 +158,7 @@ impl TimelineSampler {
     }
 
     /// ASCII sparkline dashboard: one line per column, each scaled to
-    /// its own maximum, downsampled to at most [`SPARK_WIDTH`] cells.
+    /// its own maximum, downsampled to at most `SPARK_WIDTH` (64) cells.
     pub fn render_sparklines(&self) -> String {
         let mut out = String::new();
         if self.rows.is_empty() {

@@ -47,6 +47,7 @@
 //! [`DegradeStep::MsaDepthCap`]: afsb_core::resilience::DegradeStep::MsaDepthCap
 
 use crate::core::{drive, MsaSide, ServeCore};
+use crate::scenario::{cold_config, Scenario, ScenarioRun};
 use crate::server::{CostTable, ServeConfig, ServeReport};
 use afsb_core::report::ascii_table;
 use afsb_core::resilience::RetryPolicy;
@@ -588,39 +589,13 @@ impl<'a> MsaSide<'a> for ChaosLoop<'a> {
     }
 }
 
-/// A named chaos serving scenario.
-#[derive(Debug, Clone)]
-pub struct ChaosScenario {
-    /// Short stable name (used in reports and summaries).
-    pub name: &'static str,
-    /// The serving configuration (shared across the matrix — the
-    /// canonical `cold` config, so `baseline` is byte-identical to it).
-    pub config: ServeConfig,
-    /// The fault plan + recovery policy.
-    pub chaos: ChaosConfig,
-}
-
-/// One executed chaos scenario with its observability session.
-pub struct ChaosScenarioRun {
-    /// The scenario name.
-    pub name: &'static str,
-    /// The chaos serving report.
-    pub report: ChaosReport,
-    /// Trace + metrics captured during the run.
-    pub obs: ObsSession,
-}
-
 /// The canonical `serve-chaos` matrix: the `cold` serving config under
 /// an empty plan (`baseline`), three single-dimension fault campaigns,
 /// and their union (`kitchen-sink`, which also arms the overload
 /// degradation rung). Fault times sit inside the arrival window so
 /// every campaign hits live work.
-pub fn chaos_scenarios(quick: bool) -> Vec<ChaosScenario> {
-    let config = crate::scenario::default_scenarios(quick)
-        .into_iter()
-        .find(|s| s.name == "cold")
-        .expect("cold scenario exists")
-        .config;
+pub fn chaos_scenarios(quick: bool) -> Vec<Scenario> {
+    let config = cold_config(quick);
     let policy = RecoveryPolicy::standard();
 
     let worker_churn = FaultPlan::none()
@@ -692,92 +667,28 @@ pub fn chaos_scenarios(quick: bool) -> Vec<ChaosScenario> {
             70_000.0,
         );
 
+    let campaign = |name, plan, policy| Scenario {
+        chaos: ChaosConfig { plan, policy },
+        ..Scenario::new(name, config, None)
+    };
     vec![
-        ChaosScenario {
-            name: "baseline",
-            config,
-            chaos: ChaosConfig::none(),
-        },
-        ChaosScenario {
-            name: "worker-churn",
-            config,
-            chaos: ChaosConfig {
-                plan: worker_churn,
-                policy,
+        Scenario::new("baseline", config, None),
+        campaign("worker-churn", worker_churn, policy),
+        campaign("storage-brownout", storage_brownout, policy),
+        campaign("gpu-flap", gpu_flap, policy),
+        campaign(
+            "kitchen-sink",
+            kitchen_sink,
+            RecoveryPolicy {
+                degrade_queue_depth: 64,
+                ..policy
             },
-        },
-        ChaosScenario {
-            name: "storage-brownout",
-            config,
-            chaos: ChaosConfig {
-                plan: storage_brownout,
-                policy,
-            },
-        },
-        ChaosScenario {
-            name: "gpu-flap",
-            config,
-            chaos: ChaosConfig {
-                plan: gpu_flap,
-                policy,
-            },
-        },
-        ChaosScenario {
-            name: "kitchen-sink",
-            config,
-            chaos: ChaosConfig {
-                plan: kitchen_sink,
-                policy: RecoveryPolicy {
-                    degrade_queue_depth: 64,
-                    ..policy
-                },
-            },
-        },
+        ),
     ]
 }
 
-/// Price the cost table once and run the whole `serve-chaos` matrix.
-/// Each run builds its own injector, so the shared plans never
-/// double-fire across scenarios.
-pub fn run_chaos(quick: bool) -> Vec<ChaosScenarioRun> {
-    run_chaos_set(chaos_scenarios(quick), quick)
-}
-
-/// [`run_chaos`] with serving telemetry (timeline sampler + SLO
-/// monitor) and causal provenance armed on every scenario — the
-/// `profile serve-chaos` entry point. Both are observation-only, so
-/// every disposition and float matches [`run_chaos`] bit for bit.
-pub fn run_chaos_telemetry(quick: bool) -> Vec<ChaosScenarioRun> {
-    let telemetry = crate::server::TelemetryConfig::standard(quick);
-    let scenarios = chaos_scenarios(quick)
-        .into_iter()
-        .map(|mut s| {
-            s.config.telemetry = telemetry;
-            s.config.provenance = true;
-            s
-        })
-        .collect();
-    run_chaos_set(scenarios, quick)
-}
-
-fn run_chaos_set(scenarios: Vec<ChaosScenario>, quick: bool) -> Vec<ChaosScenarioRun> {
-    let costs = CostTable::canonical(quick);
-    scenarios
-        .into_iter()
-        .map(|scenario| {
-            let mut obs = ObsSession::new();
-            let report = run_serve_chaos(&scenario.config, &scenario.chaos, costs, &mut obs);
-            ChaosScenarioRun {
-                name: scenario.name,
-                report,
-                obs,
-            }
-        })
-        .collect()
-}
-
 /// Cross-scenario comparison table plus the per-scenario blocks.
-pub fn render_chaos_summary(runs: &[ChaosScenarioRun]) -> String {
+pub fn render_chaos_summary(runs: &[ScenarioRun]) -> String {
     let headers = [
         "scenario", "avail", "goodput", "compl", "degr", "degr att", "shed", "failed", "requeue",
         "faults", "lost s",
@@ -785,7 +696,7 @@ pub fn render_chaos_summary(runs: &[ChaosScenarioRun]) -> String {
     let rows: Vec<Vec<String>> = runs
         .iter()
         .map(|run| {
-            let r = &run.report;
+            let r = &run.report.chaos;
             vec![
                 run.name.to_string(),
                 format!("{:.1}%", r.availability * 100.0),

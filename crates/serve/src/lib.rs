@@ -24,8 +24,10 @@
 //! - [`queue`]: the ordered backlogs the loops share — the GPU's
 //!   [`ReadyPool`] (earliest-ready first) and the policy loop's keyed
 //!   MSA queue — so picking the next request is O(log n), not a sort,
-//! - [`scenario`]: the canonical scenario set behind `afsysbench
-//!   serve` and the `profile serve` baseline,
+//! - [`scenario`]: the one [`Scenario`] type (config, fault plan, and
+//!   the loop that serves it) and the one [`run_scenarios`] runner
+//!   behind every canonical serving experiment, plus the canonical and
+//!   XL scenario sets,
 //! - [`reference`](mod@reference): the frozen seed step-scan
 //!   scheduler, kept verbatim as the byte-equivalence oracle for both
 //!   event loops,
@@ -51,6 +53,13 @@
 //! The two loops share one core (the private `core` module): set-up,
 //! feature fills, the GPU batch close, fault recovery, the timeline
 //! sample and the report fold. They differ only in their MSA side.
+//! Every canonical experiment — the canonical and XL ablations, the
+//! chaos matrix, the telemetry dashboard, the policy matrix — is a set
+//! of [`Scenario`]s run by [`run_scenarios`], and every run reports a
+//! [`PolicyReport`] (an eager run carries plain FIFO and zero
+//! preemptions, so its render is the chaos render). A scenario names
+//! its loop explicitly (`policy: None` is eager), because eager and
+//! lazy FIFO diverge under faults.
 //!
 //! Everything runs on the simulated clock: the same seed yields
 //! byte-identical reports, metrics and traces.
@@ -69,27 +78,27 @@ pub mod workload;
 
 pub use cache::FeatureCache;
 pub use chaos::{
-    chaos_scenarios, render_chaos_summary, run_chaos, run_chaos_telemetry, run_serve_chaos,
-    ChaosConfig, ChaosReport, ChaosScenario, ChaosScenarioRun, Disposition, RecoveryPolicy,
+    chaos_scenarios, render_chaos_summary, run_serve_chaos, ChaosConfig, ChaosReport, Disposition,
+    RecoveryPolicy,
 };
 pub use policy::{
     policy_scenarios, render_policy_matrix, run_policy_matrix, run_serve_policy, PolicyConfig,
-    PolicyMatrixReport, PolicyReport, PolicyRun, PolicyScenario, PolicyWhatIf, QueueDiscipline,
-    POLICY_WHATIF_TOLERANCE_PP, SPECULATE_DEPTH,
+    PolicyMatrixReport, PolicyReport, PolicyWhatIf, QueueDiscipline, POLICY_WHATIF_TOLERANCE_PP,
+    SPECULATE_DEPTH,
 };
 pub use queue::{KeyedQueue, ReadyEntry, ReadyPool};
 pub use reference::run_serve_reference;
 pub use scenario::{
-    default_scenarios, render_summary, run_default, run_default_telemetry, run_xl, xl_scenarios,
-    Scenario, ScenarioRun,
+    cold_config, default_scenarios, render_summary, run_scenarios, xl_scenarios, Scenario,
+    ScenarioRun,
 };
 pub use server::{
     run_serve, CausalLog, CostTable, PhaseSegments, RequestOutcome, SegmentSplit, ServeConfig,
     ServeReport, TelemetryConfig, TIMELINE_COLUMNS,
 };
 pub use telemetry::{
-    render_telemetry, render_timeline_block, run_brownout_telemetry, run_telemetry,
-    TelemetryReport, TELEMETRY_CHAOS_SCENARIO,
+    render_telemetry, render_timeline_block, run_telemetry, TelemetryReport,
+    TELEMETRY_CHAOS_SCENARIO,
 };
 pub use whatif::{
     canonical_whatifs, predict_makespan, render_whatif, run_whatif, WhatIf, WhatIfReport,

@@ -57,7 +57,8 @@
 use crate::chaos::{ChaosConfig, ChaosReport};
 use crate::core::{drive, MsaSide, ServeCore};
 use crate::queue::{KeyedQueue, ReadyEntry};
-use crate::server::{CostTable, ServeConfig};
+use crate::scenario::{cold_config, run_scenarios, Scenario, ScenarioRun};
+use crate::server::{CostTable, ServeConfig, ServeReport};
 use crate::whatif::{predict_makespan, WhatIf};
 use afsb_core::report::ascii_table;
 use afsb_rt::obs::ObsSession;
@@ -245,6 +246,22 @@ pub struct PolicyReport {
 }
 
 impl PolicyReport {
+    /// An eager-loop run as a policy report: plain FIFO, no
+    /// preemptions, so [`PolicyReport::render`] is the chaos render.
+    pub fn eager(chaos: ChaosReport) -> PolicyReport {
+        PolicyReport {
+            chaos,
+            policy: PolicyConfig::fifo(),
+            preemptions: 0,
+            preempt_lost_s: 0.0,
+        }
+    }
+
+    /// The base serving report.
+    pub fn base(&self) -> &ServeReport {
+        &self.chaos.base
+    }
+
     /// Exact latency of the request sitting at quantile `p` (the same
     /// rank statistic `percentile_outcome` uses — not the
     /// bucket-quantized histogram estimate, which pins cold p50 at the
@@ -632,27 +649,6 @@ pub fn run_serve_policy(
 /// full-fleet MSA-speedup projection.
 pub const SPECULATE_DEPTH: usize = 16;
 
-/// A named policy-matrix row.
-#[derive(Debug, Clone, Copy)]
-pub struct PolicyScenario {
-    /// Short stable name.
-    pub name: &'static str,
-    /// The serving configuration (the canonical `cold` scenario).
-    pub config: ServeConfig,
-    /// The scheduling policy.
-    pub policy: PolicyConfig,
-}
-
-/// One executed policy run with its observability session.
-pub struct PolicyRun {
-    /// The row name.
-    pub name: &'static str,
-    /// The policy report.
-    pub report: PolicyReport,
-    /// Trace + metrics captured during the run.
-    pub obs: ObsSession,
-}
-
 /// Validation of the winning policy against the causal profiler's
 /// virtual-speedup projection.
 #[derive(Debug, Clone)]
@@ -683,7 +679,7 @@ pub const POLICY_WHATIF_TOLERANCE_PP: f64 = 10.0;
 /// validation of the winner.
 pub struct PolicyMatrixReport {
     /// One run per policy, FIFO first.
-    pub runs: Vec<PolicyRun>,
+    pub runs: Vec<ScenarioRun>,
     /// What-if validation (`None` only if no speculation row dominates
     /// FIFO — the CI gate fails in that case).
     pub whatif: Option<PolicyWhatIf>,
@@ -691,7 +687,7 @@ pub struct PolicyMatrixReport {
 
 impl PolicyMatrixReport {
     /// The FIFO baseline row.
-    pub fn fifo(&self) -> &PolicyRun {
+    pub fn fifo(&self) -> &ScenarioRun {
         self.runs
             .iter()
             .find(|r| r.report.policy.is_plain_fifo())
@@ -700,7 +696,7 @@ impl PolicyMatrixReport {
 
     /// Rows that strictly dominate FIFO on *both* queries/hour and
     /// exact p99 latency — the CI gate requires at least one.
-    pub fn dominating(&self) -> Vec<&PolicyRun> {
+    pub fn dominating(&self) -> Vec<&ScenarioRun> {
         let fifo = self.fifo();
         let fifo_qph = fifo.report.chaos.base.throughput_qph;
         let fifo_p99 = fifo.report.exact_percentile_s(0.99);
@@ -717,48 +713,16 @@ impl PolicyMatrixReport {
 
 /// The canonical policy matrix over the `cold` scenario: the baseline
 /// plus each mechanism in isolation, then the combinations.
-pub fn policy_scenarios(quick: bool) -> Vec<PolicyScenario> {
-    let config = crate::scenario::default_scenarios(quick)
-        .into_iter()
-        .find(|s| s.name == "cold")
-        .expect("cold scenario exists")
-        .config;
+pub fn policy_scenarios(quick: bool) -> Vec<Scenario> {
+    let row = |name, policy| Scenario::new(name, cold_config(quick), Some(policy));
     vec![
-        PolicyScenario {
-            name: "fifo",
-            config,
-            policy: PolicyConfig::fifo(),
-        },
-        PolicyScenario {
-            name: "sjf",
-            config,
-            policy: PolicyConfig::sjf(),
-        },
-        PolicyScenario {
-            name: "edf",
-            config,
-            policy: PolicyConfig::edf(),
-        },
-        PolicyScenario {
-            name: "shape-batch",
-            config,
-            policy: PolicyConfig::shape_batched(),
-        },
-        PolicyScenario {
-            name: "sjf-preempt",
-            config,
-            policy: PolicyConfig::sjf_preempt(),
-        },
-        PolicyScenario {
-            name: "speculate",
-            config,
-            policy: PolicyConfig::speculative(SPECULATE_DEPTH),
-        },
-        PolicyScenario {
-            name: "adaptive",
-            config,
-            policy: PolicyConfig::adaptive(SPECULATE_DEPTH),
-        },
+        row("fifo", PolicyConfig::fifo()),
+        row("sjf", PolicyConfig::sjf()),
+        row("edf", PolicyConfig::edf()),
+        row("shape-batch", PolicyConfig::shape_batched()),
+        row("sjf-preempt", PolicyConfig::sjf_preempt()),
+        row("speculate", PolicyConfig::speculative(SPECULATE_DEPTH)),
+        row("adaptive", PolicyConfig::adaptive(SPECULATE_DEPTH)),
     ]
 }
 
@@ -767,22 +731,14 @@ pub fn policy_scenarios(quick: bool) -> Vec<PolicyScenario> {
 /// FIFO row runs with provenance on (observation-only) so its causal
 /// log can drive [`predict_makespan`].
 pub fn run_policy_matrix(quick: bool) -> PolicyMatrixReport {
-    let costs = CostTable::canonical(quick);
-    let chaos = ChaosConfig::none();
-    let runs: Vec<PolicyRun> = policy_scenarios(quick)
+    let scenarios = policy_scenarios(quick)
         .into_iter()
-        .map(|s| {
-            let mut config = s.config;
-            config.provenance = s.policy.is_plain_fifo();
-            let mut obs = ObsSession::new();
-            let report = run_serve_policy(&config, &s.policy, &chaos, costs, &mut obs);
-            PolicyRun {
-                name: s.name,
-                report,
-                obs,
-            }
+        .map(|mut s| {
+            s.config.provenance = s.policy.is_some_and(|p| p.is_plain_fifo());
+            s
         })
         .collect();
+    let runs = run_scenarios(scenarios, quick);
 
     let mut matrix = PolicyMatrixReport { runs, whatif: None };
     let fifo_makespan = matrix.fifo().report.chaos.base.makespan_s;
@@ -935,15 +891,6 @@ pub fn render_policy_matrix(matrix: &PolicyMatrixReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::default_scenarios;
-
-    fn cold_config(quick: bool) -> ServeConfig {
-        default_scenarios(quick)
-            .into_iter()
-            .find(|s| s.name == "cold")
-            .expect("cold scenario exists")
-            .config
-    }
 
     fn run(pol: &PolicyConfig) -> PolicyReport {
         let config = cold_config(true);

@@ -1,4 +1,5 @@
-//! The canonical serving scenarios behind `afsysbench serve`.
+//! The canonical serving scenarios and the one runner behind every
+//! serving experiment.
 //!
 //! Four runs of the same seeded request stream isolate the two levers
 //! the paper's amortization data points at:
@@ -10,8 +11,20 @@
 //!
 //! `cold` vs `nocache` prices the MSA feature cache; `warm` vs
 //! `warm_b1` prices GPU batching with the CPU phase out of the way.
+//!
+//! Every canonical serving run — these four, the XL set, the
+//! [`crate::chaos`] matrix and the [`crate::policy`] matrix — is one
+//! [`Scenario`], and [`run_scenarios`] runs any set of them. The
+//! scenario names its loop explicitly: `policy: None` runs the eager
+//! [`crate::chaos`] loop (the only one that coalesces misses),
+//! `Some(p)` runs the lazy [`crate::policy`] loop. Plain FIFO is not
+//! quietly routed to the eager loop: the two loops diverge under
+//! faults (a kill keeps the eager slot reserved but frees the lazy
+//! worker), so the choice stays with the scenario.
 
-use crate::server::{run_serve, CostTable, ServeConfig, ServeReport, TelemetryConfig};
+use crate::chaos::{run_serve_chaos, ChaosConfig};
+use crate::policy::{run_serve_policy, PolicyConfig, PolicyReport};
+use crate::server::{CostTable, ServeConfig, TelemetryConfig};
 use crate::workload::WorkloadConfig;
 use afsb_core::report::ascii_table;
 use afsb_core::resilience::Deadline;
@@ -22,41 +35,94 @@ use afsb_simarch::Platform;
 /// The fixed seed every canonical serving scenario runs with.
 pub const SERVE_SEED: u64 = 17;
 
-/// A named serving configuration.
-#[derive(Debug, Clone, Copy)]
+/// A named serving run: configuration, fault plan, and which loop
+/// serves it.
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// Short stable name (used in reports and metric prefixes).
     pub name: &'static str,
     /// The configuration to serve.
     pub config: ServeConfig,
+    /// The fault plan + recovery policy (empty for fault-free runs).
+    pub chaos: ChaosConfig,
+    /// `None` runs the eager loop; `Some` runs the lazy loop under this
+    /// scheduling policy.
+    pub policy: Option<PolicyConfig>,
 }
 
 /// One executed scenario with its observability session.
 pub struct ScenarioRun {
     /// The scenario name.
     pub name: &'static str,
-    /// The serving report.
-    pub report: ServeReport,
+    /// The serving report. An eager run carries `PolicyConfig::fifo()`
+    /// and zero preemptions, so its render is the chaos render (and,
+    /// fault-free, the plain [`crate::server::ServeReport`] render).
+    pub report: PolicyReport,
     /// Trace + metrics captured during the run.
     pub obs: ObsSession,
 }
 
-/// The canonical scenario set. `quick` shrinks the stream for CI.
-pub fn default_scenarios(quick: bool) -> Vec<Scenario> {
+impl Scenario {
+    /// A fault-free scenario on the loop `policy` names (`None`:
+    /// eager).
+    pub fn new(name: &'static str, config: ServeConfig, policy: Option<PolicyConfig>) -> Scenario {
+        Scenario {
+            name,
+            config,
+            chaos: ChaosConfig::none(),
+            policy,
+        }
+    }
+
+    /// The same scenario with the standard telemetry and causal
+    /// provenance armed. Both are observation-only: every outcome,
+    /// disposition and render matches the unobserved run
+    /// (`tests/telemetry.rs`, `tests/causal.rs`).
+    pub fn observed(mut self, quick: bool) -> Scenario {
+        self.config.telemetry = TelemetryConfig::standard(quick);
+        self.config.provenance = true;
+        self
+    }
+}
+
+/// Price the canonical cost table once and run every scenario on it —
+/// the one runner behind every canonical serving experiment.
+pub fn run_scenarios(scenarios: Vec<Scenario>, quick: bool) -> Vec<ScenarioRun> {
+    let costs = CostTable::canonical(quick);
+    scenarios
+        .into_iter()
+        .map(|s| {
+            let mut obs = ObsSession::new();
+            let report = match &s.policy {
+                None => PolicyReport::eager(run_serve_chaos(&s.config, &s.chaos, costs, &mut obs)),
+                Some(policy) => run_serve_policy(&s.config, policy, &s.chaos, costs, &mut obs),
+            };
+            ScenarioRun {
+                name: s.name,
+                report,
+                obs,
+            }
+        })
+        .collect()
+}
+
+/// The canonical `cold` configuration: the base of the four canonical
+/// scenarios, and the config the chaos, policy and what-if experiments
+/// all serve. `quick` shrinks the stream for CI.
+pub fn cold_config(quick: bool) -> ServeConfig {
     // The stream must outlast the popular entities' MSA times (so a
     // cold cache can start hitting mid-stream) while keeping arrival
     // gaps well under the GPU service time (so batching has a backlog
     // to amortize over) — hence many requests at a 10 s mean gap.
-    let workload = WorkloadConfig {
-        num_requests: if quick { 384 } else { 1024 },
-        catalog_size: if quick { 12 } else { 40 },
-        arrival_rate_per_s: 0.1,
-        zipf_exponent: 1.1,
-        seed: SERVE_SEED,
-    };
-    let base = ServeConfig {
+    ServeConfig {
         platform: Platform::Server,
-        workload,
+        workload: WorkloadConfig {
+            num_requests: if quick { 384 } else { 1024 },
+            catalog_size: if quick { 12 } else { 40 },
+            arrival_rate_per_s: 0.1,
+            zipf_exponent: 1.1,
+            seed: SERVE_SEED,
+        },
         cpu_workers: 4,
         gpu_batch: 4,
         cache_capacity_bytes: 64 * GIB,
@@ -65,58 +131,37 @@ pub fn default_scenarios(quick: bool) -> Vec<Scenario> {
         coalesce_misses: false,
         telemetry: TelemetryConfig::default(),
         provenance: false,
+    }
+}
+
+/// The cache and batching ablations over one base config, in report
+/// order. `nocache` also turns coalescing off: the whole cache
+/// subsystem is gone, so every request pays the CPU phase.
+fn ablations(base: ServeConfig) -> Vec<Scenario> {
+    let nocache = ServeConfig {
+        cache_capacity_bytes: 0,
+        coalesce_misses: false,
+        ..base
+    };
+    let warm = ServeConfig {
+        prewarm_cache: true,
+        ..base
+    };
+    let warm_b1 = ServeConfig {
+        gpu_batch: 1,
+        ..warm
     };
     vec![
-        Scenario {
-            name: "cold",
-            config: base,
-        },
-        Scenario {
-            name: "nocache",
-            config: ServeConfig {
-                cache_capacity_bytes: 0,
-                ..base
-            },
-        },
-        Scenario {
-            name: "warm",
-            config: ServeConfig {
-                prewarm_cache: true,
-                ..base
-            },
-        },
-        Scenario {
-            name: "warm_b1",
-            config: ServeConfig {
-                prewarm_cache: true,
-                gpu_batch: 1,
-                ..base
-            },
-        },
+        Scenario::new("cold", base, None),
+        Scenario::new("nocache", nocache, None),
+        Scenario::new("warm", warm, None),
+        Scenario::new("warm_b1", warm_b1, None),
     ]
 }
 
-/// Price the cost table once and run every canonical scenario.
-pub fn run_default(quick: bool) -> Vec<ScenarioRun> {
-    run_set(default_scenarios(quick), quick)
-}
-
-/// `run_default` with serving telemetry (timeline sampler + SLO
-/// monitor) and causal provenance enabled on every scenario. Both are
-/// observation-only, so the reports differ from [`run_default`] only
-/// in the `timeline`, `slo` and `causal` fields (`tests/telemetry.rs`
-/// and `tests/causal.rs` prove it).
-pub fn run_default_telemetry(quick: bool) -> Vec<ScenarioRun> {
-    let telemetry = TelemetryConfig::standard(quick);
-    let scenarios = default_scenarios(quick)
-        .into_iter()
-        .map(|mut s| {
-            s.config.telemetry = telemetry;
-            s.config.provenance = true;
-            s
-        })
-        .collect();
-    run_set(scenarios, quick)
+/// The canonical scenario set. `quick` shrinks the stream for CI.
+pub fn default_scenarios(quick: bool) -> Vec<Scenario> {
+    ablations(cold_config(quick))
 }
 
 /// The XL scenario set behind `afsysbench serve-xl` — the same four
@@ -128,78 +173,21 @@ pub fn run_default_telemetry(quick: bool) -> Vec<ScenarioRun> {
 /// the event engine's scale exercise: ~10× the canonical stream in
 /// quick mode, ~100× in full mode, all through one event queue.
 pub fn xl_scenarios(quick: bool) -> Vec<Scenario> {
-    let workload = WorkloadConfig {
-        num_requests: if quick { 10_000 } else { 100_000 },
-        catalog_size: if quick { 500 } else { 2_000 },
-        arrival_rate_per_s: 1.0,
-        zipf_exponent: 1.1,
-        seed: SERVE_SEED,
-    };
-    let base = ServeConfig {
-        platform: Platform::Server,
-        workload,
+    ablations(ServeConfig {
+        workload: WorkloadConfig {
+            num_requests: if quick { 10_000 } else { 100_000 },
+            catalog_size: if quick { 500 } else { 2_000 },
+            arrival_rate_per_s: 1.0,
+            zipf_exponent: 1.1,
+            seed: SERVE_SEED,
+        },
         cpu_workers: 64,
         gpu_batch: 8,
         cache_capacity_bytes: 256 * GIB,
-        prewarm_cache: false,
         deadline: Deadline::new(Some(72.0 * 3600.0)),
         coalesce_misses: true,
-        telemetry: TelemetryConfig::default(),
-        provenance: false,
-    };
-    vec![
-        Scenario {
-            name: "cold",
-            config: base,
-        },
-        Scenario {
-            // The whole cache subsystem is off — no capacity AND no
-            // coalescing — so every request pays the CPU phase, the
-            // ablation the canonical `nocache` scenario prices.
-            name: "nocache",
-            config: ServeConfig {
-                cache_capacity_bytes: 0,
-                coalesce_misses: false,
-                ..base
-            },
-        },
-        Scenario {
-            name: "warm",
-            config: ServeConfig {
-                prewarm_cache: true,
-                ..base
-            },
-        },
-        Scenario {
-            name: "warm_b1",
-            config: ServeConfig {
-                prewarm_cache: true,
-                gpu_batch: 1,
-                ..base
-            },
-        },
-    ]
-}
-
-/// Price the cost table once and run every XL scenario.
-pub fn run_xl(quick: bool) -> Vec<ScenarioRun> {
-    run_set(xl_scenarios(quick), quick)
-}
-
-fn run_set(scenarios: Vec<Scenario>, quick: bool) -> Vec<ScenarioRun> {
-    let costs = CostTable::canonical(quick);
-    scenarios
-        .into_iter()
-        .map(|scenario| {
-            let mut obs = ObsSession::new();
-            let report = run_serve(&scenario.config, costs, &mut obs);
-            ScenarioRun {
-                name: scenario.name,
-                report,
-                obs,
-            }
-        })
-        .collect()
+        ..cold_config(quick)
+    })
 }
 
 /// Cross-scenario comparison table plus the per-scenario blocks.
@@ -216,7 +204,7 @@ pub fn render_summary(runs: &[ScenarioRun]) -> String {
     let rows: Vec<Vec<String>> = runs
         .iter()
         .map(|run| {
-            let r = &run.report;
+            let r = run.report.base();
             let (p50, p99) = r
                 .latency
                 .as_ref()

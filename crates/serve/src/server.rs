@@ -35,7 +35,7 @@ use crate::chaos::{run_serve_chaos, ChaosConfig};
 use crate::scenario::SERVE_SEED;
 use crate::workload::{Request, WorkloadConfig};
 use afsb_core::calib;
-use afsb_core::context::{BenchContext, ContextConfig};
+use afsb_core::context::{self, BenchContext};
 use afsb_core::inference_phase::gpu_for;
 use afsb_core::msa_phase::{run_msa_phase, MsaPhaseOptions};
 use afsb_core::resilience::Deadline;
@@ -212,14 +212,11 @@ pub struct CostTable {
 
 impl CostTable {
     /// Price every benchmark shape on `platform`. `quick` selects the
-    /// test-scale databases and sampling budget (same split as the
-    /// bench harness); `msa_threads` is the per-worker thread count.
+    /// test-scale databases and sampling budget
+    /// ([`afsb_core::context::scale`], shared with the bench harness);
+    /// `msa_threads` is the per-worker thread count.
     pub fn build(platform: Platform, quick: bool, msa_threads: usize, seed: u64) -> CostTable {
-        let (config, sample_cap) = if quick {
-            (ContextConfig::test(), 400_000)
-        } else {
-            (ContextConfig::bench(), 6_000_000)
-        };
+        let (config, sample_cap) = context::scale(quick);
         let mut ctx = BenchContext::new(config);
         let runtime = GpuRuntime::new(
             gpu_for(platform),

@@ -12,10 +12,8 @@
 //! (`tests/telemetry.rs` proves it). This module only *arranges* the
 //! runs and renders one combined dashboard.
 
-use crate::chaos::{chaos_scenarios, run_serve_chaos, ChaosScenarioRun};
-use crate::scenario::{run_default_telemetry, ScenarioRun};
-use crate::server::{CostTable, TelemetryConfig};
-use afsb_rt::obs::ObsSession;
+use crate::chaos::chaos_scenarios;
+use crate::scenario::{default_scenarios, run_scenarios, ScenarioRun};
 
 /// The chaos scenario the telemetry experiment exercises: the storage
 /// brownout's stall window is long enough (relative to the SLO window)
@@ -24,35 +22,29 @@ pub const TELEMETRY_CHAOS_SCENARIO: &str = "storage-brownout";
 
 /// Everything `afsysbench serve-telemetry` runs.
 pub struct TelemetryReport {
-    /// The four canonical scenarios, telemetry-enabled.
+    /// The four canonical scenarios, observed.
     pub scenarios: Vec<ScenarioRun>,
-    /// The storage-brownout chaos campaign, telemetry-enabled.
-    pub brownout: ChaosScenarioRun,
+    /// The storage-brownout chaos campaign, observed.
+    pub brownout: ScenarioRun,
 }
 
-/// Run the canonical scenario set plus the brownout campaign with
-/// [`TelemetryConfig::standard`] telemetry.
+/// Run the canonical scenario set plus the brownout campaign, each
+/// [`observed`](crate::scenario::Scenario::observed).
 pub fn run_telemetry(quick: bool) -> TelemetryReport {
-    TelemetryReport {
-        scenarios: run_default_telemetry(quick),
-        brownout: run_brownout_telemetry(quick),
-    }
-}
-
-/// Run only the storage-brownout chaos scenario with telemetry armed.
-pub fn run_brownout_telemetry(quick: bool) -> ChaosScenarioRun {
-    let costs = CostTable::canonical(quick);
-    let mut scenario = chaos_scenarios(quick)
+    let brownout = chaos_scenarios(quick)
         .into_iter()
         .find(|s| s.name == TELEMETRY_CHAOS_SCENARIO)
         .expect("storage-brownout scenario exists");
-    scenario.config.telemetry = TelemetryConfig::standard(quick);
-    let mut obs = ObsSession::new();
-    let report = run_serve_chaos(&scenario.config, &scenario.chaos, costs, &mut obs);
-    ChaosScenarioRun {
-        name: scenario.name,
-        report,
-        obs,
+    let scenarios = default_scenarios(quick)
+        .into_iter()
+        .chain([brownout])
+        .map(|s| s.observed(quick))
+        .collect();
+    let mut scenarios = run_scenarios(scenarios, quick);
+    let brownout = scenarios.pop().expect("brownout ran last");
+    TelemetryReport {
+        scenarios,
+        brownout,
     }
 }
 
@@ -63,13 +55,13 @@ pub fn render_telemetry(report: &TelemetryReport) -> String {
     let mut out = String::new();
     for run in &report.scenarios {
         out.push_str(&format!("[{}]\n", run.name));
-        push_serve_block(&mut out, &run.report);
+        push_serve_block(&mut out, run.report.base());
         out.push('\n');
     }
     let run = &report.brownout;
     out.push_str(&format!("[chaos:{}]\n", run.name));
-    push_serve_block(&mut out, &run.report.base);
-    if let Some(slo) = &run.report.base.slo {
+    push_serve_block(&mut out, run.report.base());
+    if let Some(slo) = &run.report.base().slo {
         out.push_str(&slo.render());
     }
     out
@@ -109,11 +101,20 @@ mod tests {
         let report = run_telemetry(true);
         assert_eq!(report.scenarios.len(), 4);
         for run in &report.scenarios {
-            let tl = run.report.timeline.as_ref().expect("timeline sampled");
+            let tl = run
+                .report
+                .base()
+                .timeline
+                .as_ref()
+                .expect("timeline sampled");
             assert!(!tl.rows().is_empty(), "{}: timeline has rows", run.name);
-            assert!(run.report.slo.is_some(), "{}: slo evaluated", run.name);
+            assert!(
+                run.report.base().slo.is_some(),
+                "{}: slo evaluated",
+                run.name
+            );
         }
-        assert!(report.brownout.report.base.timeline.is_some());
+        assert!(report.brownout.report.base().timeline.is_some());
     }
 
     #[test]

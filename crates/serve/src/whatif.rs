@@ -34,7 +34,7 @@
 //! single-parent DAG abstracts away: re-runs re-form batches and
 //! re-order worker queues, the replay does not.
 
-use crate::scenario::default_scenarios;
+use crate::scenario::cold_config;
 use crate::server::{run_serve, CausalLog, CostTable, RequestOutcome, SegmentSplit, ServeConfig};
 use afsb_rt::obs::causal::{critical_path, CriticalPath};
 use afsb_rt::obs::ObsSession;
@@ -297,7 +297,7 @@ pub struct WhatIfReport {
 /// per-request binding classification, and every
 /// [`canonical_whatifs`] row projected then validated by a re-run.
 pub fn run_whatif(quick: bool) -> WhatIfReport {
-    let mut config = default_scenarios(quick)[0].config;
+    let mut config = cold_config(quick);
     config.provenance = true;
     let costs = CostTable::canonical(quick);
 
@@ -420,7 +420,7 @@ mod tests {
         let r = run_whatif(true);
         // Replaying with a 1× "speedup" must telescope back to the
         // recorded makespan (float re-accumulation only).
-        let config = default_scenarios(true)[0].config;
+        let config = cold_config(true);
         let identity = predict_makespan(&r.log, &config, WhatIf::ScaleMsa(1.0));
         let err = (identity - r.baseline_makespan_s).abs() / r.baseline_makespan_s;
         assert!(err < 1e-9, "identity replay drifted: {err}");
@@ -451,7 +451,7 @@ mod tests {
         }
         assert_eq!(gpu.init_s, costs.init_s / 2.0);
         assert_eq!(xla.init_s, costs.init_s);
-        let cfg = default_scenarios(true)[0].config;
+        let cfg = cold_config(true);
         assert_eq!(
             scaled_config(&cfg, WhatIf::AddWorkers(4)).cpu_workers,
             cfg.cpu_workers + 4

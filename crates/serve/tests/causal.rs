@@ -3,7 +3,9 @@
 //! 1. **Passive observer** — arming provenance recording changes
 //!    nothing observable about the serving results: outcomes, float
 //!    bits, and rendered reports are byte-identical to a bare run, on
-//!    all four canonical scenarios and the kitchen-sink chaos campaign.
+//!    all four canonical scenarios, the kitchen-sink chaos campaign,
+//!    and every lazy-loop policy row (fault-free and under the kitchen
+//!    sink).
 //! 2. **What-if CI gates** — on the quick cold scenario: MSA is the
 //!    dominant critical-path blame; a virtual GPU 2× moves the
 //!    projection AND the measured re-run by under 1%; every on-path
@@ -18,7 +20,8 @@ use afsb_rt::fault::{FaultKind, FaultPlan};
 use afsb_rt::obs::ObsSession;
 use afsb_rt::sim::WaitEdge;
 use afsb_serve::chaos::{chaos_scenarios, run_serve_chaos, ChaosConfig, RecoveryPolicy};
-use afsb_serve::scenario::{default_scenarios, SERVE_SEED};
+use afsb_serve::policy::policy_scenarios;
+use afsb_serve::scenario::{default_scenarios, run_scenarios, Scenario, SERVE_SEED};
 use afsb_serve::server::{run_serve, CostTable};
 use afsb_serve::workload::WorkloadConfig;
 use afsb_serve::{
@@ -82,37 +85,76 @@ fn provenance_is_observation_only_on_canonical_scenarios() {
     }
 }
 
-/// Same gate through the chaos scheduler: the kitchen-sink campaign's
-/// dispositions and floats must not move when provenance is armed.
+/// Same gate through both fault-aware loops: the kitchen-sink campaign
+/// on the eager loop, and every policy row on the lazy loop under the
+/// empty and the kitchen-sink plan. Dispositions, floats, preemptions
+/// and the render must not move when provenance is armed.
 #[test]
 fn provenance_is_observation_only_under_chaos() {
-    let costs = costs();
-    let scenario = chaos_scenarios(true)
+    let sink = chaos_scenarios(true)
         .into_iter()
         .find(|s| s.name == "kitchen-sink")
         .expect("kitchen-sink scenario exists");
-
-    let mut bare_obs = ObsSession::new();
-    let bare = run_serve_chaos(&scenario.config, &scenario.chaos, costs, &mut bare_obs);
-
-    let mut config = scenario.config;
-    config.provenance = true;
-    let mut armed_obs = ObsSession::new();
-    let armed = run_serve_chaos(&config, &scenario.chaos, costs, &mut armed_obs);
-
-    assert_eq!(bare.base.outcomes, armed.base.outcomes, "outcomes moved");
-    assert_eq!(bare.dispositions, armed.dispositions, "dispositions moved");
-    assert_eq!(
-        bare.availability.to_bits(),
-        armed.availability.to_bits(),
-        "availability moved"
-    );
-    assert_eq!(bare.goodput.to_bits(), armed.goodput.to_bits(), "goodput");
-    assert_eq!(bare.requeues, armed.requeues);
-    assert_eq!(bare.degraded_attempts, armed.degraded_attempts);
-    assert_eq!(bare.base.render(), armed.base.render());
-    assert!(bare.base.causal.is_none());
-    assert!(armed.base.causal.is_some(), "chaos run records a log");
+    let mut scenarios = vec![sink.clone()];
+    for chaos in [ChaosConfig::none(), sink.chaos] {
+        scenarios.extend(policy_scenarios(true).into_iter().map(|s| Scenario {
+            chaos: chaos.clone(),
+            ..s
+        }));
+    }
+    let armed = scenarios
+        .iter()
+        .cloned()
+        .map(|mut s| {
+            s.config.provenance = true;
+            s
+        })
+        .collect();
+    let armed = run_scenarios(armed, true);
+    let bare = run_scenarios(scenarios.clone(), true);
+    for ((s, bare), armed) in scenarios.iter().zip(&bare).zip(&armed) {
+        let label = format!("{} under {} faults", s.name, s.chaos.plan.faults().len());
+        let (bare, armed) = (&bare.report, &armed.report);
+        assert_eq!(
+            bare.base().outcomes,
+            armed.base().outcomes,
+            "{label}: outcomes"
+        );
+        assert_eq!(
+            bare.chaos.dispositions, armed.chaos.dispositions,
+            "{label}: dispositions"
+        );
+        assert_eq!(
+            bare.chaos.availability.to_bits(),
+            armed.chaos.availability.to_bits(),
+            "{label}: availability"
+        );
+        assert_eq!(
+            bare.chaos.goodput.to_bits(),
+            armed.chaos.goodput.to_bits(),
+            "{label}: goodput"
+        );
+        assert_eq!(
+            bare.base().makespan_s.to_bits(),
+            armed.base().makespan_s.to_bits(),
+            "{label}: makespan"
+        );
+        assert_eq!(
+            bare.chaos.requeues, armed.chaos.requeues,
+            "{label}: requeues"
+        );
+        assert_eq!(
+            bare.chaos.degraded_attempts, armed.chaos.degraded_attempts,
+            "{label}"
+        );
+        assert_eq!(bare.preemptions, armed.preemptions, "{label}: preemptions");
+        assert_eq!(bare.render(), armed.render(), "{label}: render");
+        assert!(bare.base().causal.is_none(), "{label}: bare run has no log");
+        assert!(
+            armed.base().causal.is_some(),
+            "{label}: armed run records a log"
+        );
+    }
 }
 
 /// The ISSUE 9 CI gates over the validated what-if projections.

@@ -402,7 +402,7 @@ fn canonical_chaos_matrix_holds_its_slo_orderings() {
     // scenario and every single-dimension scenario beats the
     // kitchen sink, on both availability and goodput.
     let scenarios = afsb_serve::chaos_scenarios(true);
-    let runs = afsb_serve::run_chaos(true);
+    let runs = afsb_serve::run_scenarios(scenarios.clone(), true);
     assert_eq!(runs.len(), scenarios.len());
     let by = |name: &str| {
         runs.iter()
@@ -412,7 +412,7 @@ fn canonical_chaos_matrix_holds_its_slo_orderings() {
 
     for s in &scenarios {
         let run = by(s.name);
-        let r = &run.report;
+        let r = &run.report.chaos;
         assert!(r.conserves_requests(), "{} conserves requests", s.name);
         assert!(r.completed > 0, "{} still completes work", s.name);
         assert_eq!(
@@ -433,12 +433,12 @@ fn canonical_chaos_matrix_holds_its_slo_orderings() {
         }
     }
 
-    let baseline = &by("baseline").report;
+    let baseline = &by("baseline").report.chaos;
     assert!(!baseline.chaos_active);
     assert!(baseline.fault_events.is_empty());
-    let sink = &by("kitchen-sink").report;
+    let sink = &by("kitchen-sink").report.chaos;
     for name in ["worker-churn", "storage-brownout", "gpu-flap"] {
-        let r = &by(name).report;
+        let r = &by(name).report.chaos;
         assert!(
             r.availability < baseline.availability,
             "baseline availability beats {name}"

@@ -14,13 +14,11 @@
 //!    `POLICY_WHATIF_TOLERANCE_PP` of the causal profiler's
 //!    virtual-MSA-speedup projection for the matching factor.
 
-use afsb_rt::obs::ObsSession;
 use afsb_serve::chaos::{chaos_scenarios, ChaosConfig};
 use afsb_serve::policy::{
-    policy_scenarios, run_policy_matrix, run_serve_policy, PolicyMatrixReport,
-    POLICY_WHATIF_TOLERANCE_PP,
+    policy_scenarios, run_policy_matrix, PolicyMatrixReport, POLICY_WHATIF_TOLERANCE_PP,
 };
-use afsb_serve::server::CostTable;
+use afsb_serve::scenario::{run_scenarios, Scenario};
 use std::sync::OnceLock;
 
 fn matrix() -> &'static PolicyMatrixReport {
@@ -35,23 +33,23 @@ fn every_policy_conserves_requests_fault_free_and_under_chaos() {
         .find(|s| s.name == "kitchen-sink")
         .expect("kitchen-sink campaign exists")
         .chaos;
-    for scenario in policy_scenarios(true) {
-        for (label, chaos) in [
-            ("fault-free", ChaosConfig::none()),
-            ("kitchen-sink", kitchen_sink.clone()),
-        ] {
-            let mut obs = ObsSession::new();
-            let report = run_serve_policy(
-                &scenario.config,
-                &scenario.policy,
-                &chaos,
-                CostTable::canonical(true),
-                &mut obs,
-            );
+    for (label, chaos) in [
+        ("fault-free", ChaosConfig::none()),
+        ("kitchen-sink", kitchen_sink),
+    ] {
+        let scenarios = policy_scenarios(true)
+            .into_iter()
+            .map(|s| Scenario {
+                chaos: chaos.clone(),
+                ..s
+            })
+            .collect();
+        for run in run_scenarios(scenarios, true) {
+            let report = &run.report;
             assert!(
                 report.chaos.conserves_requests(),
                 "{} under {label}: admitted {} != {} completed + {} degraded + {} shed + {} failed",
-                scenario.name,
+                run.name,
                 report.chaos.admitted,
                 report.chaos.completed,
                 report.chaos.degraded,

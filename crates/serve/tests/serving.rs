@@ -2,12 +2,16 @@
 //! (quick-scale) cost table must replay byte-identically and must show
 //! the two amortization wins the layer exists to demonstrate.
 
-use afsb_serve::scenario::{render_summary, run_default, ScenarioRun};
+use afsb_serve::scenario::{default_scenarios, render_summary, run_scenarios, ScenarioRun};
 use std::sync::OnceLock;
+
+fn run_default() -> Vec<ScenarioRun> {
+    run_scenarios(default_scenarios(true), true)
+}
 
 fn runs() -> &'static Vec<ScenarioRun> {
     static RUNS: OnceLock<Vec<ScenarioRun>> = OnceLock::new();
-    RUNS.get_or_init(|| run_default(true))
+    RUNS.get_or_init(run_default)
 }
 
 fn qph(name: &str) -> f64 {
@@ -16,16 +20,17 @@ fn qph(name: &str) -> f64 {
         .find(|r| r.name == name)
         .unwrap_or_else(|| panic!("scenario {name} missing"))
         .report
+        .base()
         .throughput_qph
 }
 
 #[test]
 fn same_seed_replays_byte_identically() {
-    let again = run_default(true);
+    let again = run_default();
     assert_eq!(render_summary(runs()), render_summary(&again));
     for (a, b) in runs().iter().zip(&again) {
         assert_eq!(a.name, b.name);
-        assert_eq!(a.report.outcomes, b.report.outcomes);
+        assert_eq!(a.report.base().outcomes, b.report.base().outcomes);
         assert_eq!(
             a.obs.metrics.render_text(),
             b.obs.metrics.render_text(),
@@ -58,7 +63,7 @@ fn gpu_batching_strictly_raises_throughput() {
 #[test]
 fn every_scenario_serves_and_reports() {
     for run in runs() {
-        let r = &run.report;
+        let r = run.report.base();
         assert!(r.served > 0, "{}: nothing served", run.name);
         assert!(r.throughput_qph.is_finite() && r.throughput_qph > 0.0);
         assert!(r.gpu_occupancy > 0.0 && r.gpu_occupancy <= 1.0);

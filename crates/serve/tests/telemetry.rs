@@ -4,7 +4,8 @@
 //!    monitor changes nothing observable about the serving results:
 //!    outcomes (including phase segments), rendered reports and
 //!    latency floats are byte-identical to a telemetry-off run, on all
-//!    four canonical scenarios and one chaos campaign.
+//!    four canonical scenarios, the kitchen-sink campaign, and every
+//!    lazy-loop policy row (fault-free and under the kitchen sink).
 //! 2. **Attribution closure** — per-request phase segments sum to
 //!    `latency_s()` within 1e-9 on every finished request, across
 //!    seeded workloads *and* chaos runs with requeues.
@@ -14,11 +15,13 @@
 
 use afsb_rt::check::{self, Config, Gen};
 use afsb_rt::obs::ObsSession;
-use afsb_serve::chaos::{chaos_scenarios, run_serve_chaos};
+use afsb_serve::chaos::{chaos_scenarios, run_serve_chaos, ChaosConfig};
+use afsb_serve::policy::policy_scenarios;
+use afsb_serve::run_telemetry;
 use afsb_serve::scenario::default_scenarios;
+use afsb_serve::scenario::{run_scenarios, Scenario};
 use afsb_serve::server::{run_serve, CostTable, TelemetryConfig, TIMELINE_COLUMNS};
 use afsb_serve::workload::WorkloadConfig;
-use afsb_serve::{run_brownout_telemetry, run_telemetry};
 
 fn costs() -> &'static CostTable {
     CostTable::canonical(true)
@@ -68,35 +71,67 @@ fn telemetry_is_observation_only_on_canonical_scenarios() {
     }
 }
 
-/// Same gate for the chaos scheduler: a faulted campaign's dispositions
-/// and floats must not move when telemetry is armed.
+/// Same gate for both fault-aware loops: the kitchen-sink campaign on
+/// the eager loop, and every policy row on the lazy loop under the
+/// empty and the kitchen-sink plan. With telemetry and provenance
+/// armed ([`Scenario::observed`]), dispositions, floats, preemptions
+/// and the render must not move.
 #[test]
 fn telemetry_is_observation_only_under_chaos() {
-    let costs = costs();
-    let scenario = chaos_scenarios(true)
+    let sink = chaos_scenarios(true)
         .into_iter()
         .find(|s| s.name == "kitchen-sink")
         .expect("kitchen-sink scenario exists");
-
-    let mut bare_obs = ObsSession::new();
-    let bare = run_serve_chaos(&scenario.config, &scenario.chaos, costs, &mut bare_obs);
-
-    let mut config = scenario.config;
-    config.telemetry = TelemetryConfig::standard(true);
-    let mut tel_obs = ObsSession::new();
-    let tel = run_serve_chaos(&config, &scenario.chaos, costs, &mut tel_obs);
-
-    assert_eq!(bare.base.outcomes, tel.base.outcomes, "outcomes moved");
-    assert_eq!(bare.dispositions, tel.dispositions, "dispositions moved");
-    assert_eq!(
-        bare.availability.to_bits(),
-        tel.availability.to_bits(),
-        "availability moved"
-    );
-    assert_eq!(bare.goodput.to_bits(), tel.goodput.to_bits(), "goodput");
-    assert_eq!(bare.requeues, tel.requeues);
-    assert_eq!(bare.degraded_attempts, tel.degraded_attempts);
-    assert_eq!(bare.base.render(), tel.base.render());
+    let mut scenarios = vec![sink.clone()];
+    for chaos in [ChaosConfig::none(), sink.chaos] {
+        scenarios.extend(policy_scenarios(true).into_iter().map(|s| Scenario {
+            chaos: chaos.clone(),
+            ..s
+        }));
+    }
+    let armed = scenarios
+        .iter()
+        .cloned()
+        .map(|s| s.observed(true))
+        .collect();
+    let armed = run_scenarios(armed, true);
+    let bare = run_scenarios(scenarios.clone(), true);
+    for ((s, bare), tel) in scenarios.iter().zip(&bare).zip(&armed) {
+        let label = format!("{} under {} faults", s.name, s.chaos.plan.faults().len());
+        let (bare, tel) = (&bare.report, &tel.report);
+        assert_eq!(
+            bare.base().outcomes,
+            tel.base().outcomes,
+            "{label}: outcomes"
+        );
+        assert_eq!(
+            bare.chaos.dispositions, tel.chaos.dispositions,
+            "{label}: dispositions"
+        );
+        assert_eq!(
+            bare.chaos.availability.to_bits(),
+            tel.chaos.availability.to_bits(),
+            "{label}: availability"
+        );
+        assert_eq!(
+            bare.chaos.goodput.to_bits(),
+            tel.chaos.goodput.to_bits(),
+            "{label}: goodput"
+        );
+        assert_eq!(
+            bare.base().makespan_s.to_bits(),
+            tel.base().makespan_s.to_bits(),
+            "{label}: makespan"
+        );
+        assert_eq!(bare.chaos.requeues, tel.chaos.requeues, "{label}: requeues");
+        assert_eq!(
+            bare.chaos.degraded_attempts, tel.chaos.degraded_attempts,
+            "{label}"
+        );
+        assert_eq!(bare.preemptions, tel.preemptions, "{label}: preemptions");
+        assert_eq!(bare.render(), tel.render(), "{label}: render");
+        assert!(tel.base().timeline.is_some(), "{label}: timeline sampled");
+    }
 }
 
 fn assert_segments_close(report: &afsb_serve::ServeReport, label: &str) {
@@ -185,8 +220,8 @@ fn timeline_output_is_byte_identical_across_runs() {
     let a = run_telemetry(true);
     let b = run_telemetry(true);
     for (ra, rb) in a.scenarios.iter().zip(&b.scenarios) {
-        let ta = ra.report.timeline.as_ref().expect("timeline");
-        let tb = rb.report.timeline.as_ref().expect("timeline");
+        let ta = ra.report.base().timeline.as_ref().expect("timeline");
+        let tb = rb.report.base().timeline.as_ref().expect("timeline");
         assert_eq!(ta.render(), tb.render(), "{}: timeline bytes", ra.name);
         assert_eq!(
             ta.render_sparklines(),
@@ -210,7 +245,7 @@ fn cold_timeline_shows_the_gpu_idle_gap() {
     let report = run_telemetry(true);
     let cold = &report.scenarios[0];
     assert_eq!(cold.name, "cold");
-    let tl = cold.report.timeline.as_ref().expect("timeline");
+    let tl = cold.report.base().timeline.as_ref().expect("timeline");
     assert_eq!(tl.columns(), TIMELINE_COLUMNS);
     let gap_rows = (0..tl.rows().len())
         .filter(|&i| tl.value(i, "gpu") == 0.0 && tl.value(i, "msa_q") > 0.0)
@@ -226,8 +261,8 @@ fn cold_timeline_shows_the_gpu_idle_gap() {
 /// trace instants in order.
 #[test]
 fn brownout_fires_and_clears_the_slo_alert() {
-    let run = run_brownout_telemetry(true);
-    let slo = run.report.base.slo.as_ref().expect("slo evaluated");
+    let run = run_telemetry(true).brownout;
+    let slo = run.report.base().slo.as_ref().expect("slo evaluated");
     assert!(
         slo.burn_events >= 1,
         "brownout must fire the SLO alert at least once"

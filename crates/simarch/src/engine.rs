@@ -18,9 +18,9 @@
 //! ## Sampling
 //!
 //! Programs may declare billions of accesses. The engine simulates up to
-//! [`SimEngine::sample_cap`] accesses for the *longest* thread and scales
-//! every thread by the same rate, preserving relative thread lengths and
-//! interleaving. Counters are scaled back to declared totals in the result.
+//! its sample cap ([`SimEngine::with_sample_cap`]) accesses for the
+//! *longest* thread and scales every thread by the same rate, preserving
+//! relative thread lengths and interleaving. Counters are scaled back to declared totals in the result.
 
 use crate::branch::{BranchStats, GsharePredictor};
 use crate::cache::{Cache, Lookup};
