@@ -137,9 +137,11 @@ run target/release/afsysbench perf-diff results/BENCH_serve_policy.json "$golden
 # committed) and read serve.scaling_exp / policy.scaling_exp <= 1.35.
 run scripts/scaling_gate.sh
 
-# Committed-digest gate: one untraced hostbench unit of serve-hot and
-# serve-churn at every committed seed (0-31) must reproduce its digest
-# in hostbench/fixture/digests.json and pass the conservation checks.
+# Committed-digest gate: one untraced hostbench price unit must price
+# the table in hostbench/fixture/cost_table.json bit for bit, and one
+# untraced unit of serve-hot and serve-churn at every committed seed
+# (0-31) must reproduce its digest in hostbench/fixture/digests.json and
+# pass the conservation checks.
 run scripts/digest_gate.sh
 
 echo "==> tier-1 gate passed"

@@ -246,12 +246,15 @@ impl BenchContext {
         if let Some(data) = self.cache.get(&id) {
             return Arc::clone(data);
         }
-        let data = Arc::new(self.execute(id));
+        let data = Arc::new(self.search(id));
         self.cache.insert(id, Arc::clone(&data));
         data
     }
 
-    fn execute(&self, id: SampleId) -> SampleSearchData {
+    /// Execute a sample's searches without caching the result: the
+    /// entry point for callers that search each sample once, possibly
+    /// from several threads at a time.
+    pub fn search(&self, id: SampleId) -> SampleSearchData {
         let sample = samples::sample(id);
         let mut chains = Vec::new();
         let mut msa_depth = 0usize;

@@ -50,6 +50,7 @@ use afsb_simarch::memory::CapacityModel;
 use afsb_simarch::Platform;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Latency histogram bucket bounds (simulated seconds): sub-minute for
@@ -64,6 +65,16 @@ const FEATURE_LOAD_BASE_S: f64 = 0.05;
 
 /// Bytes per (MSA row × residue) cell of a serialized feature file.
 const FEATURE_CELL_BYTES: u64 = 16;
+
+/// The order [`CostTable::build`]'s workers pull shapes in: longest
+/// pricing first, so the last shape to start is the shortest.
+const PRICE_ORDER: [SampleId; 5] = [
+    SampleId::S6qnr,
+    SampleId::S1yy9,
+    SampleId::Promo,
+    SampleId::S7rce,
+    SampleId::S2pv7,
+];
 
 /// Serving-simulation configuration.
 #[derive(Debug, Clone, Copy)]
@@ -215,9 +226,28 @@ impl CostTable {
     /// test-scale databases and sampling budget
     /// ([`afsb_core::context::scale`], shared with the bench harness);
     /// `msa_threads` is the per-worker thread count.
+    ///
+    /// The shapes are priced concurrently, one per host core (at most
+    /// one per shape); the table is bit-identical for any core count.
     pub fn build(platform: Platform, quick: bool, msa_threads: usize, seed: u64) -> CostTable {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        CostTable::build_with(platform, quick, msa_threads, seed, workers)
+    }
+
+    /// [`CostTable::build`] on `workers` scoped threads. Each worker
+    /// pulls the next shape of [`PRICE_ORDER`] and prices it alone —
+    /// shapes share no state — and the results are put back in
+    /// [`SampleId::all`] order, so the table does not depend on
+    /// `workers` or on thread scheduling.
+    fn build_with(
+        platform: Platform,
+        quick: bool,
+        msa_threads: usize,
+        seed: u64,
+        workers: usize,
+    ) -> CostTable {
         let (config, sample_cap) = context::scale(quick);
-        let mut ctx = BenchContext::new(config);
+        let ctx = BenchContext::new(config);
         let runtime = GpuRuntime::new(
             gpu_for(platform),
             HostCpuModel {
@@ -227,11 +257,10 @@ impl CostTable {
         let capacity = CapacityModel::new(&platform.spec());
         let storage_bps = platform.spec().storage.seq_read_gibs * GIB as f64;
 
-        let mut shapes = BTreeMap::new();
-        let mut init_s = 0.0f64;
-        let mut dispatch_s = 0.0f64;
-        for &id in &SampleId::all() {
-            let data = ctx.sample_data(id);
+        // One shape: its cost plus the runtime's cold init and warm
+        // dispatch seconds as priced against its cost log.
+        let price = |id: SampleId| {
+            let data = ctx.search(id);
             let msa = run_msa_phase(
                 &data,
                 platform,
@@ -251,30 +280,58 @@ impl CostTable {
             );
             let cold = runtime.run_cold(&model.cost_log, model.working_set_bytes);
             let warm = runtime.run_warm(&model.cost_log, model.working_set_bytes);
-            init_s = cold.init_s;
-            dispatch_s = warm.init_s + warm.finalize_s;
             let feature_bytes = data.msa_depth as u64
                 * data.sample.assembly.total_residues() as u64
                 * FEATURE_CELL_BYTES;
-            shapes.insert(
-                id,
-                ShapeCost {
-                    msa_s: msa.wall_seconds(),
-                    feature_bytes,
-                    feature_load_s: FEATURE_LOAD_BASE_S + feature_bytes as f64 / storage_bps,
-                    peak_msa_bytes: peak,
-                    admitted,
-                    compile_s: cold.xla_compile_s,
-                    compute_s: warm.gpu_compute_s,
-                },
-            );
-        }
+            let cost = ShapeCost {
+                msa_s: msa.wall_seconds(),
+                feature_bytes,
+                feature_load_s: FEATURE_LOAD_BASE_S + feature_bytes as f64 / storage_bps,
+                peak_msa_bytes: peak,
+                admitted,
+                compile_s: cold.xla_compile_s,
+                compute_s: warm.gpu_compute_s,
+            };
+            (cost, cold.init_s, warm.init_s + warm.finalize_s)
+        };
+
+        // `Relaxed`: the index publishes no data; each priced shape
+        // comes back through its worker's join.
+        let next = AtomicUsize::new(0);
+        let mut priced: Vec<_> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..workers.clamp(1, PRICE_ORDER.len()))
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(&id) = PRICE_ORDER.get(i) else {
+                                return done;
+                            };
+                            done.push((id, price(id)));
+                        }
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("pricing worker must not panic"))
+                .collect()
+        });
+        priced.sort_by_key(|&(id, _)| SampleId::all().iter().position(|&s| s == id));
+
+        // The process-wide constants come from the last shape priced in
+        // `SampleId::all()` order, as in a serial build.
+        let &(_, (_, init_s, dispatch_s)) = priced.last().expect("every shape is priced");
         CostTable {
             platform,
             msa_threads,
             init_s,
             dispatch_s,
-            shapes,
+            shapes: priced
+                .into_iter()
+                .map(|(id, (cost, ..))| (id, cost))
+                .collect(),
         }
     }
 
@@ -796,6 +853,37 @@ mod tests {
 
     fn run(config: &ServeConfig) -> ServeReport {
         run_serve(config, &synthetic_costs(), &mut ObsSession::new())
+    }
+
+    /// Every scalar of a table, each `f64` as its bit pattern.
+    fn table_bits(t: &CostTable) -> Vec<u64> {
+        let mut bits = vec![
+            t.msa_threads as u64,
+            t.init_s.to_bits(),
+            t.dispatch_s.to_bits(),
+        ];
+        for c in t.shapes.values() {
+            bits.extend([
+                c.msa_s.to_bits(),
+                c.feature_bytes,
+                c.feature_load_s.to_bits(),
+                c.peak_msa_bytes,
+                u64::from(c.admitted),
+                c.compile_s.to_bits(),
+                c.compute_s.to_bits(),
+            ]);
+        }
+        bits
+    }
+
+    #[test]
+    fn cost_table_is_bit_identical_for_any_worker_count() {
+        let build = |workers| CostTable::build_with(Platform::Server, true, 4, SERVE_SEED, workers);
+        let (serial, pooled) = (build(1), build(5));
+        assert_eq!(serial.platform, pooled.platform);
+        assert!(serial.shapes.keys().eq(SampleId::all().iter()));
+        assert!(pooled.shapes.keys().eq(SampleId::all().iter()));
+        assert_eq!(table_bits(&serial), table_bits(&pooled));
     }
 
     #[test]

@@ -46,26 +46,25 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    /// LRU stamp: larger = more recently used.
-    stamp: u64,
-    prefetched: bool,
-}
-
-const INVALID_LINE: Line = Line {
-    tag: 0,
-    valid: false,
-    stamp: 0,
-    prefetched: false,
-};
+/// Tag-word flag: the way holds a line.
+const VALID: u64 = 1 << 63;
+/// Tag-word flag: the line was installed by the prefetcher and has not
+/// been demand-hit since.
+const PREFETCHED: u64 = 1 << 62;
+/// Recency rank of an invalid way: older than any valid way.
+const INVALID_RANK: u8 = u8::MAX;
 
 /// A single set-associative cache with true-LRU replacement.
 ///
 /// Addresses are byte addresses; the cache indexes by
 /// `(addr / line) % sets` and tags with `addr / line / sets`.
+///
+/// Each way costs 9 bytes: one tag word carrying the valid and
+/// prefetched flags in its two top bits, and one recency rank
+/// (0 = most recently used). The valid ways of a set hold the ranks
+/// `0..valid` once each and every invalid way holds 255, so the first
+/// way of highest rank is the first invalid way, else the LRU way —
+/// exactly the victim of a per-line use stamp, without the stamp.
 ///
 /// ```
 /// use afsb_simarch::cache::{Cache, Lookup};
@@ -80,8 +79,10 @@ pub struct Cache {
     config: CacheLevelConfig,
     sets: usize,
     set_shift: u32,
-    lines: Vec<Line>,
-    clock: u64,
+    /// Tag word per way, set-major; 0 is an invalid way.
+    tags: Vec<u64>,
+    /// Recency rank per way, set-major.
+    ranks: Vec<u8>,
     stats: CacheStats,
 }
 
@@ -90,7 +91,9 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the number of sets or the line size is not a power of two.
+    /// Panics if the number of sets or the line size is not a power of
+    /// two, if `line × sets` is below 4 bytes (the tag word keeps its top
+    /// two bits for flags), or if there are more than 256 ways.
     pub fn new(config: CacheLevelConfig) -> Cache {
         let sets = config.sets();
         assert!(sets.is_power_of_two(), "set count must be a power of two");
@@ -98,12 +101,20 @@ impl Cache {
             config.line.is_power_of_two(),
             "line size must be a power of two"
         );
+        assert!(
+            config.line * sets >= 4,
+            "line size times set count must be at least 4 bytes"
+        );
+        assert!(
+            (1..=256).contains(&config.ways),
+            "associativity must be 1 to 256 ways"
+        );
         Cache {
             config,
             sets,
             set_shift: config.line.trailing_zeros(),
-            lines: vec![INVALID_LINE; sets * config.ways],
-            clock: 0,
+            tags: vec![0; sets * config.ways],
+            ranks: vec![INVALID_RANK; sets * config.ways],
             stats: CacheStats::default(),
         }
     }
@@ -118,81 +129,91 @@ impl Cache {
         &self.stats
     }
 
-    fn index(&self, addr: u64) -> (usize, u64) {
+    /// The set's way range and the tag word `addr` has when resident.
+    fn index(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
         let line_addr = addr >> self.set_shift;
         let set = (line_addr as usize) & (self.sets - 1);
         let tag = line_addr >> self.sets.trailing_zeros();
-        (set, tag)
+        let base = set * self.config.ways;
+        (base..base + self.config.ways, tag | VALID)
+    }
+
+    /// The resident way holding `word`'s line, as an offset in the set.
+    fn find(tags: &[u64], word: u64) -> Option<usize> {
+        tags.iter().position(|&t| t & !PREFETCHED == word)
+    }
+
+    /// Make way `way` the most recently used: every way more recent
+    /// than it ages by one. Invalid ways are never more recent, and
+    /// filling one ages every valid way.
+    fn touch(ranks: &mut [u8], way: usize) {
+        let old = ranks[way];
+        if old == 0 {
+            return;
+        }
+        for rank in ranks.iter_mut() {
+            *rank += u8::from(*rank < old);
+        }
+        ranks[way] = 0;
+    }
+
+    /// Install `word` over the set's first invalid way, else its LRU way.
+    /// Both are the first way ranked at least `ways − 1`: a set with a
+    /// free way ranks its valid ways below that, a full set has exactly
+    /// one way of rank `ways − 1`.
+    fn fill(tags: &mut [u64], ranks: &mut [u8], word: u64) {
+        let lru = (ranks.len() - 1) as u8;
+        let victim = ranks
+            .iter()
+            .position(|&r| r >= lru)
+            .expect("a set ranks some way at least ways - 1");
+        Self::touch(ranks, victim);
+        tags[victim] = word;
     }
 
     /// Demand access: looks up `addr`, installing the line on a miss.
     pub fn access(&mut self, addr: u64) -> Lookup {
-        self.clock += 1;
         self.stats.accesses += 1;
-        let (set, tag) = self.index(addr);
-        let base = set * self.config.ways;
-        let ways = &mut self.lines[base..base + self.config.ways];
-
-        if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.stamp = self.clock;
-            if line.prefetched {
+        let (ways, word) = self.index(addr);
+        let tags = &mut self.tags[ways.clone()];
+        let ranks = &mut self.ranks[ways];
+        if let Some(way) = Self::find(tags, word) {
+            if tags[way] & PREFETCHED != 0 {
                 self.stats.prefetch_hits += 1;
-                line.prefetched = false;
+                tags[way] = word;
             }
+            Self::touch(ranks, way);
             self.stats.hits += 1;
             return Lookup::Hit;
         }
         self.stats.misses += 1;
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.stamp } else { 0 })
-            .expect("cache set has at least one way");
-        *victim = Line {
-            tag,
-            valid: true,
-            stamp: self.clock,
-            prefetched: false,
-        };
+        Self::fill(tags, ranks, word);
         Lookup::Miss
     }
 
     /// Install a line on behalf of the prefetcher (no demand stats).
     /// Returns `true` if the line was newly installed.
     pub fn prefetch_fill(&mut self, addr: u64) -> bool {
-        self.clock += 1;
-        let (set, tag) = self.index(addr);
-        let base = set * self.config.ways;
-        let ways = &mut self.lines[base..base + self.config.ways];
-        if ways.iter().any(|l| l.valid && l.tag == tag) {
+        let (ways, word) = self.index(addr);
+        let tags = &mut self.tags[ways.clone()];
+        if Self::find(tags, word).is_some() {
             return false;
         }
         self.stats.prefetch_fills += 1;
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.stamp } else { 0 })
-            .expect("cache set has at least one way");
-        *victim = Line {
-            tag,
-            valid: true,
-            stamp: self.clock,
-            prefetched: true,
-        };
+        Self::fill(tags, &mut self.ranks[ways], word | PREFETCHED);
         true
     }
 
     /// Whether `addr`'s line is currently resident (no side effects).
     pub fn probe(&self, addr: u64) -> bool {
-        let (set, tag) = self.index(addr);
-        let base = set * self.config.ways;
-        self.lines[base..base + self.config.ways]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        let (ways, word) = self.index(addr);
+        Self::find(&self.tags[ways], word).is_some()
     }
 
     /// Drop all contents and statistics.
     pub fn reset(&mut self) {
-        self.lines.fill(INVALID_LINE);
-        self.clock = 0;
+        self.tags.fill(0);
+        self.ranks.fill(INVALID_RANK);
         self.stats = CacheStats::default();
     }
 }
@@ -277,6 +298,29 @@ mod tests {
         assert!(c.probe(128));
         assert!(!c.probe(4096));
         assert_eq!(*c.stats(), before);
+    }
+
+    #[test]
+    #[should_panic(expected = "1 to 256 ways")]
+    fn more_ways_than_one_byte_ranks_are_rejected() {
+        Cache::new(CacheLevelConfig {
+            capacity: 257 * 64,
+            ways: 257,
+            line: 64,
+            hit_cycles: 1,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 4 bytes")]
+    fn tags_without_two_spare_bits_are_rejected() {
+        // One set of 2-byte lines: a tag could use 63 bits.
+        Cache::new(CacheLevelConfig {
+            capacity: 8,
+            ways: 4,
+            line: 2,
+            hit_cycles: 1,
+        });
     }
 
     #[test]

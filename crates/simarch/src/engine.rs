@@ -267,6 +267,9 @@ struct SegmentCursor {
     cumulative: Vec<f64>,
     remaining: u64,
     symbol: &'static str,
+    /// Counters of this segment's stepped accesses, folded into the
+    /// thread's per-symbol map once stepping ends.
+    stats: SymbolStats,
 }
 
 impl SegmentCursor {
@@ -290,6 +293,7 @@ impl SegmentCursor {
             cumulative,
             remaining,
             symbol: seg.symbol,
+            stats: SymbolStats::default(),
         }
     }
 }
@@ -353,7 +357,6 @@ impl ThreadState {
         }
         let seg = &mut self.segments[self.seg_idx];
         seg.remaining -= 1;
-        let symbol = seg.symbol;
 
         // Pick a pattern by weight and get the next address.
         let pick: f64 = self.rng.gen_f64();
@@ -364,7 +367,7 @@ impl ThreadState {
             .unwrap_or(seg.cumulative.len() - 1);
         let addr = seg.cursors[idx].next_addr();
 
-        let stats = self.symbols.entry(symbol).or_default();
+        let stats = &mut seg.stats;
         stats.accesses += 1;
 
         // dTLB.
@@ -476,6 +479,12 @@ impl ThreadState {
     fn scale(&mut self, inv_rate: f64) {
         assert!(!self.scaled, "scale must run once");
         self.scaled = true;
+        for seg in &self.segments {
+            self.symbols
+                .entry(seg.symbol)
+                .or_default()
+                .merge(&seg.stats);
+        }
         let mut dram_accesses = 0u64;
         for stats in self.symbols.values_mut() {
             stats.scale_sampled(inv_rate);

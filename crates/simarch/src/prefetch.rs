@@ -68,8 +68,9 @@ impl StreamPrefetcher {
 
     /// Observe a demand access and return line addresses to prefetch.
     ///
-    /// The returned addresses are line-aligned byte addresses.
-    pub fn observe(&mut self, addr: u64) -> Vec<u64> {
+    /// The returned addresses are line-aligned byte addresses, yielded
+    /// without allocating.
+    pub fn observe(&mut self, addr: u64) -> impl ExactSizeIterator<Item = u64> {
         self.clock += 1;
         let line_addr = addr / self.line;
 
@@ -90,7 +91,7 @@ impl StreamPrefetcher {
             }
         }
 
-        match best {
+        let (stride, ahead) = match best {
             Some(i) => {
                 let e = &mut self.entries[i];
                 let delta = line_addr as i64 - e.last_line as i64;
@@ -103,15 +104,11 @@ impl StreamPrefetcher {
                 e.last_line = line_addr;
                 e.stamp = self.clock;
                 if e.confidence >= 2 {
-                    let stride = e.stride;
-                    let degree = self.degree;
-                    let line = self.line;
-                    self.issued += degree as u64;
-                    return (1..=degree as i64)
-                        .map(|k| ((line_addr as i64 + stride * k).max(0) as u64) * line)
-                        .collect();
+                    self.issued += self.degree as u64;
+                    (e.stride, self.degree)
+                } else {
+                    (0, 0)
                 }
-                Vec::new()
             }
             None => {
                 // Allocate a new stream over the LRU slot.
@@ -129,9 +126,11 @@ impl StreamPrefetcher {
                     stamp: self.clock,
                     valid: true,
                 };
-                Vec::new()
+                (0, 0)
             }
-        }
+        };
+        let line = self.line;
+        (1..ahead + 1).map(move |k| ((line_addr as i64 + stride * k as i64).max(0) as u64) * line)
     }
 }
 
@@ -147,6 +146,11 @@ mod tests {
             issued.extend(p.observe(i * 64));
         }
         assert!(!issued.is_empty(), "sequential stream must trigger");
+        // The third access confirms the stride: lines 3 and 4 are issued.
+        let mut q = StreamPrefetcher::new(8, 2, 64);
+        assert_eq!(q.observe(0).len(), 0);
+        assert_eq!(q.observe(64).len(), 0);
+        assert_eq!(q.observe(128).collect::<Vec<_>>(), [192, 256]);
         // Prefetches run ahead of the demand stream.
         assert!(issued.iter().all(|a| a % 64 == 0));
         assert!(p.issued() > 0);
@@ -157,10 +161,10 @@ mod tests {
         let mut p = StreamPrefetcher::new(8, 1, 64);
         let mut hits = 0;
         for i in 0..10u64 {
-            let pf = p.observe(i * 128); // stride of 2 lines
-            if !pf.is_empty() {
+            // Stride of 2 lines.
+            if let Some(first) = p.observe(i * 128).next() {
                 hits += 1;
-                assert_eq!(pf[0] % 64, 0);
+                assert_eq!(first % 64, 0);
             }
         }
         assert!(hits >= 5, "stride-2 stream should train quickly");

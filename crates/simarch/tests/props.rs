@@ -2,7 +2,7 @@
 
 use afsb_rt::check::{run, Config, Gen};
 use afsb_simarch::branch::GsharePredictor;
-use afsb_simarch::cache::Cache;
+use afsb_simarch::cache::{Cache, CacheStats, Lookup};
 use afsb_simarch::config::{CacheLevelConfig, PlatformSpec, TlbConfig};
 use afsb_simarch::perf::SymbolStats;
 use afsb_simarch::tlb::Dtlb;
@@ -47,6 +47,149 @@ fn repeated_address_hits_after_first() {
             }
             assert_eq!(c.stats().misses, 1);
             assert_eq!(c.stats().hits, repeats as u64 - 1);
+        },
+    );
+}
+
+/// The stamp-based true-LRU that `Cache` replaced, kept as its oracle:
+/// every line carries the clock value of its last use, and the victim
+/// is the first way of smallest key (invalid ways key 0).
+struct StampLru {
+    sets: u64,
+    ways: usize,
+    line: u64,
+    /// `(tag, valid, stamp, prefetched)` per way, set-major.
+    lines: Vec<(u64, bool, u64, bool)>,
+    clock: u64,
+    stats: CacheStats,
+}
+
+impl StampLru {
+    fn new(c: CacheLevelConfig) -> StampLru {
+        let sets = c.sets() as u64;
+        let lines = vec![(0, false, 0, false); sets as usize * c.ways];
+        let (ways, line, stats) = (c.ways, c.line as u64, CacheStats::default());
+        StampLru {
+            sets,
+            ways,
+            line,
+            lines,
+            clock: 0,
+            stats,
+        }
+    }
+
+    fn set(&mut self, addr: u64) -> (&mut [(u64, bool, u64, bool)], u64) {
+        let line_addr = addr / self.line;
+        let base = (line_addr % self.sets) as usize * self.ways;
+        (
+            &mut self.lines[base..base + self.ways],
+            line_addr / self.sets,
+        )
+    }
+
+    /// Install `tag` over the victim way at the current clock.
+    fn install(ways: &mut [(u64, bool, u64, bool)], tag: u64, clock: u64, prefetched: bool) {
+        let victim = ways.iter_mut().min_by_key(|l| if l.1 { l.2 } else { 0 });
+        *victim.expect("at least one way") = (tag, true, clock, prefetched);
+    }
+
+    fn access(&mut self, addr: u64) -> Lookup {
+        self.clock += 1;
+        self.stats.accesses += 1;
+        let clock = self.clock;
+        let (ways, tag) = self.set(addr);
+        if let Some(l) = ways.iter_mut().find(|l| l.1 && l.0 == tag) {
+            let was_prefetched = std::mem::replace(&mut l.3, false);
+            l.2 = clock;
+            self.stats.prefetch_hits += u64::from(was_prefetched);
+            self.stats.hits += 1;
+            return Lookup::Hit;
+        }
+        StampLru::install(ways, tag, clock, false);
+        self.stats.misses += 1;
+        Lookup::Miss
+    }
+
+    fn prefetch_fill(&mut self, addr: u64) -> bool {
+        self.clock += 1;
+        let clock = self.clock;
+        let (ways, tag) = self.set(addr);
+        if ways.iter().any(|l| l.1 && l.0 == tag) {
+            return false;
+        }
+        StampLru::install(ways, tag, clock, true);
+        self.stats.prefetch_fills += 1;
+        true
+    }
+
+    fn probe(&mut self, addr: u64) -> bool {
+        let (ways, tag) = self.set(addr);
+        ways.iter().any(|l| l.1 && l.0 == tag)
+    }
+
+    fn reset(&mut self) {
+        self.lines.fill((0, false, 0, false));
+        self.clock = 0;
+        self.stats = CacheStats::default();
+    }
+}
+
+#[test]
+fn compact_cache_matches_the_stamp_lru_oracle() {
+    run(
+        "compact_cache_matches_the_stamp_lru_oracle",
+        Config::cases(256),
+        |g| {
+            // Power-of-two sets and lines, 1-16 ways, or the widest
+            // set the one-byte rank allows.
+            let ways = if g.range(0u32..8) == 0 {
+                256
+            } else {
+                g.range(1usize..=16)
+            };
+            let sets = 1usize << g.range(0u32..=6);
+            let line = 1usize << g.range(2u32..=7);
+            let config = CacheLevelConfig {
+                capacity: (sets * ways * line) as u64,
+                ways,
+                line,
+                hit_cycles: 1,
+            };
+            let mut cache = Cache::new(config);
+            let mut oracle = StampLru::new(config);
+            // Mostly addresses within a few capacities (hits, conflicts
+            // and evictions); now and then any u64, for the widest tags.
+            let span = config.capacity * g.range(1u64..=4);
+            for op in 0..g.range(1usize..3000) {
+                let addr = if g.range(0u32..16) == 0 {
+                    g.rng().next_u64()
+                } else {
+                    g.range(0..span)
+                };
+                match g.range(0u32..32) {
+                    0 => {
+                        cache.reset();
+                        oracle.reset();
+                    }
+                    1..=8 => assert_eq!(
+                        cache.prefetch_fill(addr),
+                        oracle.prefetch_fill(addr),
+                        "prefetch_fill({addr:#x}) at op {op}"
+                    ),
+                    9..=12 => assert_eq!(
+                        cache.probe(addr),
+                        oracle.probe(addr),
+                        "probe({addr:#x}) at op {op}"
+                    ),
+                    _ => assert_eq!(
+                        cache.access(addr),
+                        oracle.access(addr),
+                        "access({addr:#x}) at op {op}"
+                    ),
+                }
+                assert_eq!(*cache.stats(), oracle.stats, "stats after op {op}");
+            }
         },
     );
 }

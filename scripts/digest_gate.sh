@@ -1,5 +1,12 @@
 #!/usr/bin/env bash
-# Committed-digest gate for the serve workloads.
+# Committed-digest gate for the priced cost table and the serve
+# workloads.
+#
+# hostbench/fixture/cost_table.json commits the quick cost table. This
+# runs one untraced `price` unit (the real, concurrent
+# CostTable::build) and fails unless its table equals the fixture bit
+# for bit. Pricing does not depend on the seed, so seed 0 stands for
+# all of them.
 #
 # hostbench/fixture/digests.json commits one report digest per seed
 # (0-31) for serve-hot and serve-churn. This runs one untraced unit of
@@ -18,14 +25,25 @@ SEEDS=$(seq 0 31)
 
 cargo build --release --offline --quiet --manifest-path hostbench/Cargo.toml
 
+# Failed units of one untraced hostbench unit ("" when it never reported).
+failed_units() {
+    local line
+    line="$(cargo run --release --offline --quiet --manifest-path hostbench/Cargo.toml -- \
+        --workload "$1" --seed "$2" --seconds 0.001 --trace 0 | tail -n 1)" || true
+    printf '%s\n' "$line" | sed -n 's/.*"failed": \([0-9]*\).*/\1/p'
+}
+
 status=0
+if [ "$(failed_units price 0)" = "0" ]; then
+    echo "ok   price: the priced table matches hostbench/fixture/cost_table.json"
+else
+    echo "FAIL price: the priced table differs from hostbench/fixture/cost_table.json"
+    status=1
+fi
 for workload in serve-hot serve-churn; do
     bad=""
     for seed in $SEEDS; do
-        line="$(cargo run --release --offline --quiet --manifest-path hostbench/Cargo.toml -- \
-            --workload "$workload" --seed "$seed" --seconds 0.001 --trace 0 | tail -n 1)" || true
-        failed="$(printf '%s\n' "$line" | sed -n 's/.*"failed": \([0-9]*\).*/\1/p')"
-        if [ "$failed" != "0" ]; then
+        if [ "$(failed_units "$workload" "$seed")" != "0" ]; then
             bad="$bad $seed"
         fi
     done
